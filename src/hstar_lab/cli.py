@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import combinations
 
@@ -22,6 +23,7 @@ from .dosp import (
     winding_vector,
 )
 from .enumeration import (
+    _thread_cap,
     count_dosps,
     enumerate_winding_vectors,
     hstar_combinatorial,
@@ -63,6 +65,7 @@ def _parse_spec(args) -> PolytopeSpec:
 
 def cmd_hstar(args) -> int:
     try:
+        _thread_cap()
         spec = _parse_spec(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -102,6 +105,9 @@ def cmd_enum(args) -> int:
     if args.k < 1 or args.n < 1 or args.d < 0 or args.r < 1:
         print("error: k, n and r must be positive and d nonnegative", file=sys.stderr)
         return 1
+    if args.limit is not None and args.limit < 0:
+        print("error: --limit must be nonnegative", file=sys.stderr)
+        return 1
     count = 0
     truncated = False
     for wv in enumerate_winding_vectors(args.k, args.n, args.d):
@@ -132,12 +138,15 @@ def cmd_enum(args) -> int:
 
 
 def _sweep(checks) -> tuple[bool, str]:
-    """Run (params, ok) pairs; report the count or the first counterexample."""
+    """Run (params, ok) pairs; report the count or the first counterexample.
+    A sweep that checks no case fails: it would vouch for nothing."""
     total = 0
     for params, ok in checks:
         if not ok:
             return False, f"first counterexample {params}"
         total += 1
+    if total == 0:
+        return False, "0 cases (bounds select no cases)"
     return True, f"{total} cases"
 
 
@@ -337,7 +346,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (say, `| head`); send the rest of the output
+        # to devnull so the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, chain, permutations, repeat
+from operator import sub
 
 __all__ = [
     "IntPoly",
@@ -134,18 +135,12 @@ def restricted_coeff(n: int, b: int, a: int) -> int:
 @lru_cache(maxsize=None)
 def _power_row(n: int, a: int) -> tuple[int, ...]:
     # All coefficients of (1 + t + ... + t**(a-1))**n, one sliding-window
-    # convolution per factor: new[j] = sum(old[j-a+1 .. j]).
+    # convolution per factor: new[j] = sum(old[j-a+1 .. j]), taken as the
+    # difference of two prefix sums of old padded with a-1 zeros.
     row = [1]
-    for i in range(1, n + 1):
-        out = [0] * ((a - 1) * i + 1)
-        acc = 0
-        for j in range(len(out)):
-            if j < len(row):
-                acc += row[j]
-            if 0 <= j - a < len(row):
-                acc -= row[j - a]
-            out[j] = acc
-        row = out
+    for _ in range(n):
+        prefix = list(accumulate(chain(row, repeat(0, a - 1))))
+        row = list(map(sub, prefix, chain(repeat(0, a), prefix)))
     return tuple(row)
 
 

@@ -2,9 +2,12 @@
 
 lattice_count gives the exact number of lattice points of the t-th dilate,
 that is, integer vectors with entries in 0..r*t summing to k*t.  The fast
-route is a bounded-part coefficient; small instances are additionally counted
-by direct nested enumeration, which shares no code with the coefficient
-tables.  hstar_from_oracle recovers the h*-vector from the counts by the
+route is the bounded-composition inclusion-exclusion count (Stanley,
+Enumerative Combinatorics I, section 1.9): choose the i coordinates forced
+above r*t, then count the free compositions with binomials.  It uses only
+math.comb and shares no code with the coefficient tables of coeffcore, which
+the formula reads.  Small instances are additionally counted by direct nested
+enumeration.  hstar_from_oracle recovers the h*-vector from the counts by the
 alternating sums that multiply the series by (1 - t)**n.
 """
 
@@ -12,7 +15,6 @@ from __future__ import annotations
 
 import math
 
-from .coeffcore import restricted_coeff
 from .dosp import PolytopeSpec
 from .hstar import HStarVector
 
@@ -45,18 +47,29 @@ def lattice_count_direct(spec: PolytopeSpec, t: int) -> int:
 def lattice_count(spec: PolytopeSpec, t: int) -> int:
     """Number of lattice points in the t-th dilate of the slice.
 
-    Computed as the coefficient of z**(k*t) in (1 + z + ... + z**(r*t))**n;
-    small instances (t*r*n <= 24) are cross-checked against the direct
-    enumeration, and a mismatch raises AssertionError.
+    Computed by inclusion-exclusion over the coordinates that exceed r*t:
+
+        L(t) = sum_i (-1)**i C(n, i) C(k*t - i*(r*t + 1) + n - 1, n - 1)
+
+    with the sum stopping once the top index goes negative.  Small instances
+    (t*r*n <= 24) are cross-checked against the direct enumeration, and a
+    mismatch raises AssertionError.
     """
     if t < 0:
         raise ValueError("dilation factor must be nonnegative")
-    fast = restricted_coeff(spec.n, spec.k * t, spec.r * t + 1)
-    if t * spec.r * spec.n <= _DIRECT_CHECK_BOUND:
+    n = spec.n
+    fast = 0
+    for i in range(n + 1):
+        top = spec.k * t - i * (spec.r * t + 1)
+        if top < 0:
+            break
+        fast += (-1) ** i * math.comb(n, i) * math.comb(top + n - 1, n - 1)
+    if t * spec.r * n <= _DIRECT_CHECK_BOUND:
         direct = lattice_count_direct(spec, t)
         if direct != fast:
             raise AssertionError(
-                f"lattice count mismatch at t={t}: coefficient {fast}, enumeration {direct}")
+                f"lattice count mismatch at t={t}: inclusion-exclusion {fast}, "
+                f"enumeration {direct}")
     return fast
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,9 +17,9 @@ SCHEMA = json.loads(
 )
 
 
-def run_cli(args: list[str]) -> subprocess.CompletedProcess:
+def run_cli(args: list[str], env: dict | None = None) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-m", "hstar_lab", *args], capture_output=True, text=True
+        [sys.executable, "-m", "hstar_lab", *args], capture_output=True, text=True, env=env
     )
 
 
@@ -80,6 +81,31 @@ class TestHstarCommand:
         big = [e for e in record["hstar"] if isinstance(e, str)]
         assert big, "expected at least one decimal-string entry"
         assert all(int(e) > 2**53 - 1 for e in big)
+
+    def test_bad_thread_cap_is_a_one_line_error(self):
+        for raw in ("x", "0"):
+            env = {**os.environ, "HSTAR_LAB_THREADS": raw}
+            result = run_cli(["hstar", "--r", "1", "--k", "2", "--n", "4"], env=env)
+            assert result.returncode == 1
+            assert result.stdout == ""
+            assert result.stderr == "error: HSTAR_LAB_THREADS must be a positive integer\n"
+
+    def test_closed_pipe_exits_1_quietly(self):
+        args = ["hstar", "--r", "1", "--k", "30", "--n", "60", "--method", "formula"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hstar_lab", *args, "--format", "csv"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        proc.stdout.close()  # no reader is left, so the first write fails
+        try:
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert stderr == ""
 
     def test_disagreement_exits_2(self, monkeypatch, capsys):
         def wrong(spec):
@@ -144,6 +170,15 @@ class TestEnumCommand:
         result = run_cli(["enum", "--k", "0", "--n", "4", "--d", "1"])
         assert result.returncode == 1
 
+    def test_negative_limit_exits_1(self):
+        result = run_cli(["enum", "--k", "2", "--n", "4", "--d", "1", "--limit", "-1"])
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+        zero = run_cli(["enum", "--k", "2", "--n", "4", "--d", "1", "--limit", "0"])
+        assert zero.returncode == 0
+        assert zero.stdout == "count=0 truncated\n"
+
     def test_deterministic_output(self):
         args = ["enum", "--k", "3", "--n", "4", "--d", "1", "--format", "json"]
         assert run_cli(args).stdout == run_cli(args).stdout
@@ -170,6 +205,24 @@ class TestVerifyCommand:
             ["verify", "--suite", "lemma1", "--max-n", "3", "--max-k", "2", "--seed", "7"]
         )
         assert result.returncode == 0
+
+    def test_vacuous_sweep_fails(self):
+        result = run_cli(["verify", "--suite", "prop3", "--max-n", "-3"])
+        assert result.returncode == 1
+        assert result.stdout == "FAIL prop3: 0 cases (bounds select no cases)\n"
+
+    def test_default_case_counts(self, capsys):
+        assert cli.main(["verify", "--suite", "all"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS lemma1: 864 cases",
+            "PASS prop1: 156 cases",
+            "PASS prop2: 60 cases",
+            "PASS prop3: 106 cases",
+            "PASS prop4: 818 cases",
+            "PASS prop5: 2100 cases",
+            "PASS eq6: 3108 cases",
+            "PASS eulerian: 64 cases",
+        ]
 
     def test_failure_reports_counterexample(self, monkeypatch, capsys):
         monkeypatch.setitem(

@@ -1,5 +1,9 @@
+import ast
 import math
+from pathlib import Path
 
+from hstar_lab import oracle
+from hstar_lab.coeffcore import eulerian
 from hstar_lab.dosp import PolytopeSpec
 from hstar_lab.hstar import hstar_closed_form
 from hstar_lab.oracle import hstar_from_oracle, lattice_count, lattice_count_direct
@@ -17,13 +21,27 @@ class TestLatticeCount:
         assert [lattice_count_direct(spec, t) for t in range(4)] == [1, 6, 19, 44]
         assert [lattice_count(spec, t) for t in range(4)] == [1, 6, 19, 44]
 
-    def test_direct_matches_coefficient_route(self):
-        for r in (1, 2):
-            for n in (2, 3, 4):
+    def test_inclusion_exclusion_matches_direct_exhaustively(self):
+        for r in (1, 2, 3):
+            for n in range(2, 7):
                 for k in range(1, r * n):
                     spec = PolytopeSpec(r, k, n)
-                    for t in range(4):
-                        assert lattice_count(spec, t) == lattice_count_direct(spec, t)
+                    for t in range(5):
+                        assert lattice_count(spec, t) == lattice_count_direct(spec, t), (spec, t)
+
+    def test_shares_no_code_with_coeffcore(self):
+        # the oracle is only independent of the formula while it reads none
+        # of the coefficient tables
+        tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.append(node.module or "")
+                imported.extend(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.extend(alias.name for alias in node.names)
+        assert imported, "expected the oracle to import something"
+        assert not [name for name in imported if "coeffcore" in name]
 
     def test_strictly_increasing(self):
         for r in (1, 2, 3):
@@ -50,6 +68,16 @@ class TestHStarFromOracle:
                 for k in range(1, min(r * n - 1, 6) + 1):
                     spec = PolytopeSpec(r, k, n)
                     assert hstar_from_oracle(spec).entries == hstar_closed_form(spec).entries
+
+    def test_matches_closed_form_beyond_enum_reach(self):
+        for r, n in [(1, 60), (2, 40), (2, 50), (3, 45), (1, 80)]:
+            for k in (1, r * n // 3, r * n // 2 + 1):
+                spec = PolytopeSpec(r, k, n)
+                assert hstar_from_oracle(spec).entries == hstar_closed_form(spec).entries, spec
+
+    def test_volume_identity_at_n60(self):
+        for k in range(1, 60):
+            assert hstar_from_oracle(PolytopeSpec(1, k, 60)).total() == eulerian(k, 59), k
 
     def test_series_inversion_reproduces_counts(self):
         # L(t) = sum_j h*_j * C(t - j + n - 1, n - 1)
