@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from itertools import combinations
 
 from .coeffcore import eulerian, eulerian_by_enumeration
@@ -344,8 +345,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; parse_args leaves it unchanged, so every
+    request of a long-lived process can reuse it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -3,14 +3,24 @@ of bounded-part powers, Eulerian numbers, and dense integer polynomials.
 
 All arithmetic is arbitrary-precision integer arithmetic; nothing here ever
 touches floating point.
+
+The coefficients c_j of a bounded-part power (1 + t + ... + t**(a-1))**n come
+from the three-term recurrence
+
+    j c_j = (n+j-1) c_(j-1) - (n a + a - j) c_(j-a) + (n(a-1) + a + 1 - j) c_(j-a-1)
+
+with c_0 = 1 and c_m = 0 for m < 0, which is J. C. P. Miller's power
+recurrence Q P' = n Q' P for P = Q**n, Q = (1 - t**a)/(1 - t) (Knuth, TAOCP
+vol. 2, section 4.7).  Every division by j is exact.  The row is a
+palindrome, so only its first half is computed and the second half is its
+mirror image.  Rows are kept in a cache bounded at 256 rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, permutations, repeat
-from operator import sub
+from itertools import permutations
 
 __all__ = [
     "IntPoly",
@@ -132,16 +142,33 @@ def restricted_coeff(n: int, b: int, a: int) -> int:
     return _power_row(n, a)[b]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _power_row(n: int, a: int) -> tuple[int, ...]:
-    # All coefficients of (1 + t + ... + t**(a-1))**n, one sliding-window
-    # convolution per factor: new[j] = sum(old[j-a+1 .. j]), taken as the
-    # difference of two prefix sums of old padded with a-1 zeros.
-    row = [1]
-    for _ in range(n):
-        prefix = list(accumulate(chain(row, repeat(0, a - 1))))
-        row = list(map(sub, prefix, chain(repeat(0, a), prefix)))
-    return tuple(row)
+    # All coefficients of P = (1 + t + ... + t**(a-1))**n.  With
+    # Q = (1 - t**a)/(1 - t), P = Q**n satisfies Q*P' = n*Q'*P (J. C. P.
+    # Miller's power recurrence); multiplied through by (1 - t)**2 it reads
+    # (1 - t)(1 - t**a) P' = n (1 - a t**(a-1) + (a-1) t**a) P, so that
+    #   j c_j = (n+j-1) c_(j-1) - (n a + a - j) c_(j-a) + (top + a + 1 - j) c_(j-a-1)
+    # with top = n(a-1) the degree and c_m = 0 for m < 0: O(n a) steps.
+    # The row is a palindrome (c_j = c_(top-j)), so only c_0 .. c_(top//2)
+    # are computed and the rest is mirrored.  The division by j is exact;
+    # a remainder would mean a wrong step, so it raises instead of rounding.
+    if n == 0 or a == 1:
+        return (1,)
+    top = n * (a - 1)
+    half = top // 2
+    c = [1]
+    for j in range(1, half + 1):
+        v = (n + j - 1) * c[j - 1]
+        if j >= a:
+            v -= (n * a + a - j) * c[j - a]
+            if j > a:
+                v += (top + a + 1 - j) * c[j - a - 1]
+        q, rem = divmod(v, j)
+        if rem:
+            raise AssertionError(f"inexact power-row step at n={n}, a={a}, j={j}")
+        c.append(q)
+    return tuple(c + c[top - half - 1 :: -1])
 
 
 def eulerian(k: int, n: int) -> int:

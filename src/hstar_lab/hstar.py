@@ -70,17 +70,21 @@ class HStarVector:
 
 def hstar_closed_form(spec: PolytopeSpec) -> HStarVector:
     """h*-vector by the simplified alternating sum, one entry per winding
-    number d = 0..n-1."""
+    number d = 0..n-1.
+
+    The loop runs over the part bound a = k - r*i outside and over d inside,
+    so each coefficient row is read for every d before the next one is
+    needed, and the bounded row cache never rebuilds a row within a spec.
+    """
     n, k, r = spec.n, spec.k, spec.r
-    entries = []
-    for d in range(n):
-        acc = 0
-        i = 0
-        while k - r * i >= 1:
-            a = k - r * i
-            acc += (-1) ** i * math.comb(n, i) * restricted_coeff(n, a * d - i, a)
-            i += 1
-        entries.append(acc)
+    entries = [0] * n
+    i = 0
+    while k - r * i >= 1:
+        a = k - r * i
+        weight = (-1) ** i * math.comb(n, i)
+        for d in range(n):
+            entries[d] += weight * restricted_coeff(n, a * d - i, a)
+        i += 1
     return HStarVector(tuple(entries), spec)
 
 

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hstar_lab import cli
 from hstar_lab.dosp import PolytopeSpec
@@ -120,6 +122,49 @@ class TestHstarCommand:
         assert summary["agree"] is False
         assert "hstar" not in summary
         assert "disagree" in captured.err
+
+    @settings(
+        max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        st.sampled_from(["formula", "oracle"]),
+        st.integers(-1, 3),
+        st.integers(-2, 20),
+        st.integers(-1, 6),
+    )
+    def test_exit_code_property(self, capsys, method, r, k, n):
+        capsys.readouterr()  # drop what earlier examples printed
+        args = ["hstar", "--r", str(r), "--k", str(k), "--n", str(n), "--method", method]
+        code = cli.main(args)
+        captured = capsys.readouterr()
+        if r >= 1 and n >= 2 and 0 < k < r * n:
+            assert code == 0, captured.err
+            assert captured.err == ""
+        else:
+            assert code == 1
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+class TestParserReuse:
+    def test_consecutive_calls_match_fresh_processes(self, capsys):
+        requests = [
+            ["hstar", "--r", "2", "--k", "5", "--n", "6", "--format", "csv"],
+            ["enum", "--k", "2", "--n", "4", "--d", "1", "--hypersimplicial"],
+            ["verify", "--suite", "lemma1", "--max-n", "3", "--max-k", "2"],
+        ]
+        for args in requests:
+            assert cli.main(args) == 0
+            assert capsys.readouterr().out == run_cli(args).stdout
+
+    def test_bad_flag_still_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["hstar", "--r", "1", "--k", "2", "--n", "4", "--bogus"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert cli.main(["hstar", "--r", "1", "--k", "2", "--n", "4", "--method", "formula"]) == 0
+        assert json.loads(capsys.readouterr().out)["hstar"] == [1, 2, 1, 0]
 
 
 class TestEnumCommand:

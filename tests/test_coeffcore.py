@@ -1,4 +1,6 @@
 import math
+from itertools import accumulate, chain, repeat
+from operator import sub
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +10,7 @@ from hstar_lab.coeffcore import (
     ZERO,
     IntPoly,
     RestrictedCoeffParams,
+    _power_row,
     coeff_of,
     eulerian,
     eulerian_by_enumeration,
@@ -78,6 +81,21 @@ class TestRestrictedCoeff:
             for a in range(1, 10):
                 expected = sliding_window_row(n, a)
                 assert [restricted_coeff(n, b, a) for b in range(len(expected))] == expected
+
+    def test_matches_prefix_sum_kernel(self):
+        # the prefix-sum kernel the three-term recurrence replaced, kept as
+        # reference; the grid has rows of odd and of even length
+        def prefix_sum_row(n, a):
+            row = [1]
+            for _ in range(n):
+                prefix = list(accumulate(chain(row, repeat(0, a - 1))))
+                row = list(map(sub, prefix, chain(repeat(0, a), prefix)))
+            return tuple(row)
+
+        cases = [(n, a) for n in range(0, 41) for a in range(1, 21)]
+        cases += [(60, 30), (45, 68), (50, 50), (61, 2), (1, 100)]
+        for n, a in cases:
+            assert _power_row(n, a) == prefix_sum_row(n, a), (n, a)
 
     @given(st.integers(0, 10), st.integers(1, 6), st.integers(0, 60))
     def test_symmetry(self, n, a, b):

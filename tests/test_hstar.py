@@ -1,6 +1,7 @@
 import pytest
 
-from hstar_lab.coeffcore import eulerian
+from hstar_lab import hstar
+from hstar_lab.coeffcore import _power_row, eulerian
 from hstar_lab.dosp import PolytopeSpec
 from hstar_lab.hstar import (
     HStarVector,
@@ -48,6 +49,29 @@ class TestClosedForm:
         vec = hstar_closed_form(PolytopeSpec(1, 12, 25))
         assert max(vec.entries) > 2**63
         assert vec.total() == eulerian(12, 24)
+
+    def test_builds_each_row_once(self):
+        # one row per part bound a = 30, 29, ..., 1, within the 256-row cache
+        _power_row.cache_clear()
+        hstar_closed_form(PolytopeSpec(1, 30, 60))
+        info = _power_row.cache_info()
+        assert info.misses == 30
+        assert info.maxsize == 256
+
+    def test_reads_each_row_in_one_run(self, monkeypatch):
+        # all reads of one row are consecutive, so a bounded row cache never
+        # rebuilds a row within a spec, however many part bounds it has
+        bounds = []
+        original = hstar.restricted_coeff
+
+        def recording(n, b, a):
+            bounds.append(a)
+            return original(n, b, a)
+
+        monkeypatch.setattr(hstar, "restricted_coeff", recording)
+        hstar_closed_form(PolytopeSpec(2, 9, 5))
+        runs = [a for i, a in enumerate(bounds) if i == 0 or bounds[i - 1] != a]
+        assert runs == [9, 7, 5, 3, 1]
 
 
 class TestRawNumerator:
