@@ -14,12 +14,18 @@ trailing empties red, and record blue spots passed between consecutive
 elements.  check_prop3 and check_prop4 verify the two collapsing steps of the
 sieve, and sieve_term_closed_form is the resulting closed form, checked by
 the eq6 sweep.
+
+The materialized families (dosp_family, and the members paired with their
+r-bad blocks) are cached, at most 256 of each, so a long-lived process keeps
+bounded memory.  Within one cached family, members share equal blocks and
+equal r-bad block sets instead of holding their own copies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Iterator, Optional
 
 from .coeffcore import restricted_coeff
@@ -79,16 +85,32 @@ def _require_ground(ground: frozenset[int], n: int) -> None:
         raise ValueError(f"ground set must not contain {n}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def dosp_family(k: int, n: int, d: int) -> tuple[Dosp, ...]:
     """All partitions of type (k, n) with winding number d, materialized in
-    stream order.  Meant for desk-scale exhaustive checks."""
-    return tuple(iter_dosps(k, n, d))
+    stream order.  Meant for desk-scale exhaustive checks.
+
+    Members share equal blocks: a family over {1..n} has at most 2**n - 1
+    distinct blocks, so each is stored once however many members hold it.
+    At most 256 families stay cached; the default verify bounds need 120.
+    """
+    shared: dict[frozenset[int], frozenset[int]] = {}
+    return tuple(
+        Dosp(tuple(shared.setdefault(b, b) for b in p.blocks), p.gaps, k, n)
+        for p in iter_dosps(k, n, d)
+    )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _family_with_bad_blocks(k: int, n: int, d: int, r: int):
-    return tuple((p, r_bad_blocks(p, r)) for p in dosp_family(k, n, d))
+    """Each family member paired with its set of r-bad blocks; equal sets are
+    stored once per entry.  The default verify bounds need 240 entries."""
+    shared: dict[frozenset[frozenset[int]], frozenset[frozenset[int]]] = {}
+    pairs = []
+    for p in dosp_family(k, n, d):
+        bad = r_bad_blocks(p, r)
+        pairs.append((p, shared.setdefault(bad, bad)))
+    return tuple(pairs)
 
 
 def dosps_with_bad_parts(k: int, n: int, d: int, r: int, parts) -> list[Dosp]:
@@ -328,15 +350,15 @@ def second_winding_vector(partition: Dosp, r: int, ground: Iterable[int]) -> Sec
             for e in block:
                 spot_of[e] = q
     k, n = partition.k, partition.n
+    # blue_upto[q]: blue spots among 0..q, so a walk (start, end] passes
+    # blue_upto[end] - blue_upto[start] of them, plus all when it wraps
+    blue_upto = list(accumulate(0 if q in red else 1 for q in range(k)))
+    blue = blue_upto[-1]
     v = []
     for i in range(1, n + 1):
         start = spot_of[i]
         end = spot_of[i % n + 1]
-        if start == end:
-            v.append(0)
-            continue
-        dist = (end - start) % k
-        v.append(sum(1 for s in range(1, dist + 1) if (start + s) % k not in red))
+        v.append(blue_upto[end] - blue_upto[start] + (blue if end < start else 0))
     return SecondWindingVector(tuple(v), ground, r, k)
 
 
@@ -349,15 +371,20 @@ def dosp_from_second_winding_vector(
     """The unique run-free partition whose second winding vector is v.
 
     Accepts a SecondWindingVector or a plain sequence plus k, r and the
-    ground set.  Elements are first placed on a circle of blue spots by
-    walking the entries; each marked element of a blue block is then spread
-    clockwise behind the rest of its block, largest first, as a singleton
-    followed by r-1 empty spots.  Inverse of second_winding_vector; rejects
-    vectors violating the invariants.
+    ground set; with a SecondWindingVector, any of k, r and the ground set
+    that is also given must match it.  Elements are first placed on a circle
+    of blue spots by walking the entries; each marked element of a blue block
+    is then spread clockwise behind the rest of its block, largest first, as
+    a singleton followed by r-1 empty spots.  Inverse of
+    second_winding_vector; rejects vectors violating the invariants.
     """
     if isinstance(v, SecondWindingVector):
         swv = v
-        if (k is not None and k != swv.k) or (r is not None and r != swv.r):
+        if (
+            (k is not None and k != swv.k)
+            or (r is not None and r != swv.r)
+            or (ground is not None and frozenset(ground) != swv.ground)
+        ):
             raise ValueError("conflicting parameters")
     else:
         if k is None or r is None or ground is None:
@@ -371,24 +398,26 @@ def dosp_from_second_winding_vector(
     for i in range(1, n):
         q = (q + swv.v[i - 1]) % blue
         spots[q].append(i + 1)
-    layout: list[Optional[frozenset[int]]] = []
-    for q in range(blue):
-        content = set(spots[q])
-        marked = sorted(content & swv.ground)
-        rest = content - swv.ground
-        layout.append(frozenset(rest) if rest else None)
-        for t in reversed(marked):
-            layout.append(frozenset((t,)))
-            layout.extend([None] * (swv.r - 1))
-    if len(layout) != swv.k:
+    # each blue spot expands to one spot, holding its unmarked elements if
+    # any, followed by r spots per marked element, largest first
+    blocks: list[frozenset[int]] = []
+    starts: list[int] = []
+    pos = 0
+    for content in spots:
+        rest = [e for e in content if e not in swv.ground]
+        if rest:
+            blocks.append(frozenset(rest))
+            starts.append(pos)
+        pos += 1
+        for t in reversed([e for e in content if e in swv.ground]):
+            blocks.append(frozenset((t,)))
+            starts.append(pos)
+            pos += swv.r
+    if pos != swv.k:
         raise AssertionError("spot expansion must fill the whole circle")
-    occupied = [s for s, block in enumerate(layout) if block is not None]
-    blocks = tuple(layout[s] for s in occupied)
-    gaps = []
-    for idx, s in enumerate(occupied):
-        nxt = occupied[(idx + 1) % len(occupied)]
-        gaps.append((nxt - s) % swv.k or swv.k)
-    return canonicalize(Dosp(blocks, tuple(gaps), swv.k, n))
+    ends = starts[1:] + [starts[0] + swv.k]
+    gaps = tuple(end - start for start, end in zip(starts, ends))
+    return canonicalize(Dosp(tuple(blocks), gaps, swv.k, n))
 
 
 def enumerate_second_winding_vectors(

@@ -1,17 +1,25 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
+from hstar_lab.cli import main
 from hstar_lab.coeffcore import restricted_coeff
 from hstar_lab.dosp import (
+    Dosp,
+    SpotDiagram,
+    canonicalize,
     dosp_from_winding_vector,
     format_dosp,
     parse_dosp,
+    r_bad_blocks,
     winding_number,
 )
-from hstar_lab.enumeration import count_dosps, enumerate_winding_vectors
+from hstar_lab.enumeration import count_dosps, enumerate_winding_vectors, iter_dosps
 from hstar_lab.sieve import (
     SecondWindingVector,
+    _family_with_bad_blocks,
+    _require_ground,
     check_prop3,
     check_prop4,
     chi_by_runs,
@@ -95,6 +103,60 @@ class TestBadPartFamilies:
                 for parts in unordered_partitions(range(1, n + 1)):
                     for d in range(n):
                         assert dosps_with_bad_parts(k, n, d, 1, parts) == []
+
+
+def _clear_family_caches():
+    dosp_family.cache_clear()
+    _family_with_bad_blocks.cache_clear()
+
+
+class TestFamilyCaches:
+    def test_family_is_the_stream_with_shared_blocks(self):
+        for k in range(1, 6):
+            for n in range(1, 6):
+                for d in range(n):
+                    family = dosp_family(k, n, d)
+                    assert family == tuple(iter_dosps(k, n, d))
+                    blocks = [b for p in family for b in p.blocks]
+                    assert len({id(b) for b in blocks}) == len(set(blocks))
+
+    def test_bad_block_pairs_with_shared_sets(self):
+        for r in (1, 2, 3):
+            for k in range(1, 6):
+                for n in range(1, 6):
+                    for d in range(n):
+                        pairs = _family_with_bad_blocks(k, n, d, r)
+                        assert [p for p, _ in pairs] == list(dosp_family(k, n, d))
+                        for p, bad in pairs:
+                            assert bad == r_bad_blocks(p, r)
+                        sets = [bad for _, bad in pairs]
+                        assert len({id(bad) for bad in sets}) == len(set(sets))
+
+    def test_verify_builds_each_family_once(self, capsys):
+        _clear_family_caches()
+        assert main(["verify", "--suite", "eq6"]) == 0
+        assert capsys.readouterr().out == "PASS eq6: 3108 cases\n"
+        for cached, keys in ((dosp_family, 120), (_family_with_bad_blocks, 240)):
+            info = cached.cache_info()
+            assert info.maxsize == 256
+            assert info.misses == info.currsize == keys
+
+    def test_default_bound_families_stay_small(self):
+        # every family the default verify bounds build: about 7 MB when
+        # members share blocks and bad-block sets, about 24 MB otherwise
+        _clear_family_caches()
+        tracemalloc.start()
+        try:
+            for r in (1, 2):
+                for k in range(1, 7):
+                    for n in range(2, 7):
+                        for d in range(n):
+                            _family_with_bad_blocks(k, n, d, r)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert _family_with_bad_blocks.cache_info().currsize == 240
+        assert current < 12 * 2**20
 
 
 class TestSieveTerm:
@@ -327,6 +389,14 @@ class TestSecondWindingReconstruction:
         with pytest.raises(ValueError):
             dosp_from_second_winding_vector((1, 1, 0), 4, 1, {1})
 
+    def test_rejects_conflicting_ground(self):
+        v = SecondWindingVector((1, 1, 1), frozenset({1}), 1, 4)
+        with pytest.raises(ValueError, match="conflicting parameters"):
+            dosp_from_second_winding_vector(v, ground={2})
+        assert dosp_from_second_winding_vector(v, ground=[1]) == (
+            dosp_from_second_winding_vector(v)
+        )
+
     def test_requires_parameters_with_plain_sequence(self):
         with pytest.raises(ValueError, match="required"):
             dosp_from_second_winding_vector((1, 0, 0))
@@ -350,6 +420,89 @@ class TestSecondWindingReconstruction:
                                     assert dosp_from_second_winding_vector(v) == p
                                     forward.add(v)
                                 assert forward == set(vectors)
+
+
+def _reference_second_winding_vector(partition, r, ground):
+    """The per-spot walk that second_winding_vector replaced."""
+    ground = frozenset(ground)
+    _require_ground(ground, partition.n)
+    diagram = SpotDiagram.from_dosp(partition)
+    red = diagram.red_spots(ground, r)
+    spot_of = {}
+    for q, block in enumerate(diagram.occupancy):
+        if block is not None:
+            for e in block:
+                spot_of[e] = q
+    k, n = partition.k, partition.n
+    v = []
+    for i in range(1, n + 1):
+        start = spot_of[i]
+        end = spot_of[i % n + 1]
+        if start == end:
+            v.append(0)
+            continue
+        dist = (end - start) % k
+        v.append(sum(1 for s in range(1, dist + 1) if (start + s) % k not in red))
+    return SecondWindingVector(tuple(v), ground, r, k)
+
+
+def _reference_dosp_from_second_winding_vector(swv):
+    """The spot-layout expansion that dosp_from_second_winding_vector
+    replaced."""
+    n = len(swv.v)
+    blue = swv.blue_count()
+    spots = [[] for _ in range(blue)]
+    q = 0
+    spots[0].append(1)
+    for i in range(1, n):
+        q = (q + swv.v[i - 1]) % blue
+        spots[q].append(i + 1)
+    layout = []
+    for q in range(blue):
+        content = set(spots[q])
+        marked = sorted(content & swv.ground)
+        rest = content - swv.ground
+        layout.append(frozenset(rest) if rest else None)
+        for t in reversed(marked):
+            layout.append(frozenset((t,)))
+            layout.extend([None] * (swv.r - 1))
+    if len(layout) != swv.k:
+        raise AssertionError("spot expansion must fill the whole circle")
+    occupied = [s for s, block in enumerate(layout) if block is not None]
+    blocks = tuple(layout[s] for s in occupied)
+    gaps = []
+    for idx, s in enumerate(occupied):
+        nxt = occupied[(idx + 1) % len(occupied)]
+        gaps.append((nxt - s) % swv.k or swv.k)
+    return canonicalize(Dosp(blocks, tuple(gaps), swv.k, n))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestSecondWindingReferences:
+    def test_match_per_spot_walks(self):
+        # every partition, r <= 3 and ground of size <= 3 avoiding n, valid
+        # or rejected, and every second winding vector of each case
+        for r in (1, 2, 3):
+            for n in range(1, 6):
+                for k in range(1, 7):
+                    for m in range(4):
+                        for ground_tuple in combinations(range(1, n), m):
+                            ground = frozenset(ground_tuple)
+                            for d in range(n):
+                                for p in dosp_family(k, n, d):
+                                    assert _outcome(second_winding_vector, p, r, ground) == (
+                                        _outcome(_reference_second_winding_vector, p, r, ground)
+                                    ), (p, r, ground)
+                                for v in enumerate_second_winding_vectors(k, n, d, r, ground):
+                                    assert dosp_from_second_winding_vector(v) == (
+                                        _reference_dosp_from_second_winding_vector(v)
+                                    ), v
 
 
 class TestProp4:
