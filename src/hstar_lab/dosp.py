@@ -15,8 +15,10 @@ r-hypersimplicial.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional
 
 __all__ = [
@@ -70,6 +72,20 @@ class Dosp:
     n: int
 
     def __post_init__(self):
+        blocks, gaps = self.blocks, self.gaps
+        # One whole-tuple test accepts exactly the valid partitions: n block
+        # elements whose union is {1..n} cannot repeat or leave that range.
+        if (
+            blocks
+            and len(blocks) == len(gaps)
+            and min(gaps) >= 1
+            and sum(gaps) == self.k
+            and all(blocks)
+            and sum(map(len, blocks)) == self.n
+            and frozenset().union(*blocks) == _elements(self.n)
+        ):
+            return
+        # otherwise the itemized checks name the first fault
         if not self.blocks:
             raise ValueError("at least one block is required")
         if len(self.blocks) != len(self.gaps):
@@ -141,11 +157,7 @@ class SpotDiagram:
         if not occupied:
             raise ValueError("diagram has no occupied spot")
         blocks = tuple(self.occupancy[q] for q in occupied)
-        gaps = []
-        for idx, q in enumerate(occupied):
-            nxt = occupied[(idx + 1) % len(occupied)]
-            gaps.append((nxt - q) % self.k or self.k)
-        return blocks, tuple(gaps)
+        return blocks, _gaps_between(occupied, self.k)
 
     def to_dosp(self) -> Dosp:
         blocks, gaps = self.blocks_and_gaps()
@@ -256,12 +268,34 @@ def winding_number(partition: Dosp) -> int:
     return winding_vector(partition).winding_number()
 
 
+@lru_cache(maxsize=64)
+def _elements(n: int) -> frozenset[int]:
+    """{1..n}, built once per n for Dosp's acceptance test."""
+    return frozenset(range(1, n + 1))
+
+
+def _gaps_between(occupied: list[int], k: int) -> tuple[int, ...]:
+    """Gap labels of the blocks on the given occupied spots, listed in
+    increasing order on a circle of k spots: the clockwise distance from each
+    spot to the next, the last one wrapping round to the first."""
+    return tuple(map(operator.sub, occupied[1:] + [occupied[0] + k], occupied))
+
+
+@lru_cache(maxsize=4096)
+def _block_of_mask(mask: int) -> frozenset[int]:
+    """The block whose elements are the set bits of mask, bit e-1 standing
+    for element e.  Cached, so that equal blocks built anywhere in the
+    process are one shared object for as long as the entry is kept."""
+    return frozenset(e for e in range(1, mask.bit_length() + 1) if mask >> (e - 1) & 1)
+
+
 def dosp_from_winding_vector(w, k: Optional[int] = None) -> Dosp:
     """The unique partition, returned canonical, whose winding vector is w.
 
     Accepts a WindingVector or a plain sequence plus k.  Entries must lie in
     0..k-1 and sum to a multiple of k; the circle is walked clockwise, placing
-    1 on spot 0 and each next element w_i spots further.
+    1 on spot 0 and each next element w_i spots further.  Equal blocks are
+    shared between the partitions built here (see _block_of_mask).
     """
     if isinstance(w, WindingVector):
         if k is None:
@@ -275,27 +309,28 @@ def dosp_from_winding_vector(w, k: Optional[int] = None) -> Dosp:
     n = len(w)
     if n == 0:
         raise ValueError("winding vector must be nonempty")
-    total = 0
-    for wi in w:
-        if not 0 <= wi <= k - 1:
-            raise ValueError(f"winding entry {wi} outside 0..{k - 1}")
-        total += wi
+    if min(w) < 0 or max(w) > k - 1:
+        bad = next(wi for wi in w if not 0 <= wi <= k - 1)
+        raise ValueError(f"winding entry {bad} outside 0..{k - 1}")
+    total = sum(w)
     if total % k:
         raise ValueError(f"winding entries sum to {total}, not a multiple of k={k}")
-    spots: list[list[int]] = [[] for _ in range(k)]
+    # float entries or a float k pass the checks above but must not reach the
+    # walk, which would give float spots and gaps
+    if not isinstance(total, int) or not isinstance(k, int):
+        raise TypeError("winding entries and k must be integers")
+    # spot -> bitmask of the elements on it, bit e-1 standing for element e
+    masks: dict[int, int] = {}
+    bit = 1
     q = 0
-    spots[0].append(1)
-    for i in range(1, n):
-        q = (q + w[i - 1]) % k
-        spots[q].append(i + 1)
-    occupied = [s for s in range(k) if spots[s]]
-    blocks = tuple(frozenset(spots[s]) for s in occupied)
-    gaps = []
-    for idx, s in enumerate(occupied):
-        nxt = occupied[(idx + 1) % len(occupied)]
-        gaps.append((nxt - s) % k or k)
+    for wi in w:
+        masks[q] = masks.get(q, 0) | bit
+        q = (q + wi) % k
+        bit <<= 1
+    occupied = sorted(masks)
+    blocks = tuple([_block_of_mask(masks[q]) for q in occupied])
     # element 1 sits on spot 0, so the block list is already canonical
-    return Dosp(blocks, tuple(gaps), k, n)
+    return Dosp(blocks, _gaps_between(occupied, k), k, n)
 
 
 def cyclic_shift_elements(partition: Dosp, s: int) -> Dosp:
@@ -322,4 +357,7 @@ def is_r_hypersimplicial(partition: Dosp, r: int) -> bool:
     is r-bad."""
     if r < 1:
         raise ValueError("r must be at least 1")
-    return all(gap < r * len(block) for block, gap in zip(partition.blocks, partition.gaps))
+    for block, gap in zip(partition.blocks, partition.gaps):
+        if gap >= r * len(block):
+            return False
+    return True

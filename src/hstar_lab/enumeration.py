@@ -4,14 +4,14 @@ type and winding number, and the h*-vector obtained by direct counting.
 Winding vectors are the enumeration backbone: by the bijection with
 partitions, streaming all vectors with entries in 0..k-1 and sum k*d visits
 every partition of type (k, n) with winding number d exactly once.  Counting
-splits the search space by the first entry and sums the slices in fixed
-order, so results do not depend on the thread cap (HSTAR_LAB_THREADS).
+builds and filters one partition per vector, slice by slice over the first
+entry, in a single thread; HSTAR_LAB_THREADS is validated but changes
+nothing.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator
 
 from .coeffcore import restricted_coeff
@@ -41,20 +41,35 @@ def bounded_vectors(length: int, bound: int, total: int) -> Iterator[tuple[int, 
         raise ValueError("length and bound must be nonnegative")
     if total < 0 or total > length * bound:
         return
+    if length == 0:
+        yield ()
+        return
+    # An odometer over the first length-1 entries; the last entry takes what
+    # remains.  rest[i] is the sum left for entries i.., and entry i runs
+    # from max(0, rest[i] - (last-i)*bound) up to min(bound, rest[i]).
+    last = length - 1
     buf = [0] * length
-
-    def rec(i: int, rem: int) -> Iterator[tuple[int, ...]]:
-        if i == length:
-            yield tuple(buf)
+    rest = [0] * length
+    rem = total
+    i = 0
+    while True:
+        for j in range(i, last):
+            rest[j] = rem
+            v = rem - (last - j) * bound
+            if v < 0:
+                v = 0
+            buf[j] = v
+            rem -= v
+        buf[last] = rem
+        yield tuple(buf)
+        i = last - 1
+        while i >= 0 and (buf[i] == bound or buf[i] == rest[i]):
+            i -= 1
+        if i < 0:
             return
-        slots = length - i - 1
-        lo = max(0, rem - slots * bound)
-        hi = min(bound, rem)
-        for v in range(lo, hi + 1):
-            buf[i] = v
-            yield from rec(i + 1, rem - v)
-
-    yield from rec(0, total)
+        buf[i] += 1
+        rem = rest[i] - buf[i]
+        i += 1
 
 
 def enumerate_winding_vectors(k: int, n: int, d: int) -> Iterator[WindingVector]:
@@ -82,6 +97,9 @@ def count_dosps(k: int, n: int, d: int) -> int:
 
 
 def _thread_cap() -> int:
+    """HSTAR_LAB_THREADS as a positive integer, 1 when unset.  Counting runs
+    in one thread whatever the value (threads gain nothing under the GIL),
+    but a malformed value is still rejected."""
     raw = os.environ.get("HSTAR_LAB_THREADS")
     if raw is None:
         return 1
@@ -111,12 +129,8 @@ def count_r_hypersimplicial(k: int, n: int, r: int, d: int) -> int:
         raise ValueError("k, n and r must be positive")
     if d < 0:
         raise ValueError("winding number d must be nonnegative")
-    firsts = range(k)
-    workers = min(_thread_cap(), k)
-    if workers == 1:
-        return sum(_count_slice(k, n, r, d, f) for f in firsts)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(lambda f: _count_slice(k, n, r, d, f), firsts))
+    _thread_cap()
+    return sum(_count_slice(k, n, r, d, first) for first in range(k))
 
 
 def hstar_combinatorial(spec: PolytopeSpec) -> HStarVector:

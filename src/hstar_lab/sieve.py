@@ -17,8 +17,8 @@ the eq6 sweep.
 
 The materialized families (dosp_family, and the members paired with their
 r-bad blocks) are cached, at most 256 of each, so a long-lived process keeps
-bounded memory.  Within one cached family, members share equal blocks and
-equal r-bad block sets instead of holding their own copies.
+bounded memory.  Members share equal blocks, which dosp_from_winding_vector
+interns, and within one cached entry equal r-bad block sets are stored once.
 """
 
 from __future__ import annotations
@@ -91,14 +91,12 @@ def dosp_family(k: int, n: int, d: int) -> tuple[Dosp, ...]:
     stream order.  Meant for desk-scale exhaustive checks.
 
     Members share equal blocks: a family over {1..n} has at most 2**n - 1
-    distinct blocks, so each is stored once however many members hold it.
-    At most 256 families stay cached; the default verify bounds need 120.
+    distinct blocks, and dosp_from_winding_vector takes each from one
+    process-wide intern cache, so each is stored once however many members
+    hold it.  At most 256 families stay cached; the default verify bounds
+    need 120.
     """
-    shared: dict[frozenset[int], frozenset[int]] = {}
-    return tuple(
-        Dosp(tuple(shared.setdefault(b, b) for b in p.blocks), p.gaps, k, n)
-        for p in iter_dosps(k, n, d)
-    )
+    return tuple(iter_dosps(k, n, d))
 
 
 @lru_cache(maxsize=256)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, assume, strategies as st
 
@@ -15,6 +17,7 @@ from hstar_lab.dosp import (
     r_bad_blocks,
     winding_number,
     winding_vector,
+    _block_of_mask,
 )
 from hstar_lab.enumeration import enumerate_winding_vectors, iter_dosps
 
@@ -32,6 +35,117 @@ def winding_inputs(draw):
     w = tuple(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
     assume(sum(w) % k == 0)
     return w, k
+
+
+def _reference_dosp_from_winding_vector(w, k=None):
+    """The per-spot list walk that dosp_from_winding_vector replaced, kept
+    as the reference for its results and its error messages."""
+    if isinstance(w, WindingVector):
+        if k is None:
+            k = w.k
+        elif k != w.k:
+            raise ValueError("conflicting circle sizes")
+        w = w.w
+    if k is None:
+        raise ValueError("circle circumference k is required")
+    w = tuple(w)
+    n = len(w)
+    if n == 0:
+        raise ValueError("winding vector must be nonempty")
+    total = 0
+    for wi in w:
+        if not 0 <= wi <= k - 1:
+            raise ValueError(f"winding entry {wi} outside 0..{k - 1}")
+        total += wi
+    if total % k:
+        raise ValueError(f"winding entries sum to {total}, not a multiple of k={k}")
+    spots = [[] for _ in range(k)]
+    q = 0
+    spots[0].append(1)
+    for i in range(1, n):
+        q = (q + w[i - 1]) % k
+        spots[q].append(i + 1)
+    occupied = [s for s in range(k) if spots[s]]
+    blocks = tuple(frozenset(spots[s]) for s in occupied)
+    gaps = []
+    for idx, s in enumerate(occupied):
+        nxt = occupied[(idx + 1) % len(occupied)]
+        gaps.append((nxt - s) % k or k)
+    return Dosp(blocks, tuple(gaps), k, n)
+
+
+def _reference_dosp_fault(blocks, gaps, k, n):
+    """The itemized checks of Dosp.__post_init__: the message of the first
+    fault found, or None for a valid partition."""
+    if not blocks:
+        return "at least one block is required"
+    if len(blocks) != len(gaps):
+        return "blocks and gap labels must have equal length"
+    seen = set()
+    total = 0
+    for block, gap in zip(blocks, gaps):
+        if not block:
+            return "blocks must be nonempty"
+        if gap < 1:
+            return f"nonpositive gap label {gap}"
+        total += gap
+        for e in block:
+            if e in seen:
+                return f"duplicate element {e}"
+            if not 1 <= e <= n:
+                return f"element {e} outside 1..{n}"
+            seen.add(e)
+    if total != k:
+        return f"gap labels sum to {total}, expected k={k}"
+    if len(seen) != n:
+        missing = sorted(set(range(1, n + 1)) - seen)
+        return f"missing elements {missing}"
+    return None
+
+
+def _outcome(build, *args):
+    """A built value, or the message of the ValueError raised instead."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def block_gap_tuples(draw):
+    """Blocks and gaps near a valid partition of {1..n}: a shuffled {1..n}
+    cut into blocks with positive gaps, k their sum, then possibly broken by
+    an empty block, a repeated, missing or out-of-range element, a zero or
+    negative gap, an extra gap, a k off the gap sum or a wrong n."""
+    size = n = draw(st.integers(1, 7))
+    elems = draw(st.permutations(range(1, size + 1)))
+    cuts = sorted(draw(st.sets(st.integers(1, size - 1), max_size=size - 1))) if size > 1 else []
+    bounds = [0, *cuts, size]
+    blocks = [set(elems[a:b]) for a, b in zip(bounds, bounds[1:])]
+    gaps = [draw(st.integers(1, 3)) for _ in blocks]
+    k_shift = 0
+    for fault in draw(st.lists(st.integers(0, 8), max_size=2)):
+        i = draw(st.integers(0, len(blocks) - 1))
+        if fault == 1:
+            blocks.insert(i, set())
+            gaps.insert(i, draw(st.integers(-1, 2)))
+        elif fault == 2:
+            blocks[i].add(draw(st.integers(1, size)))
+        elif fault == 3 and len(blocks[i]) > 1:
+            blocks[i].discard(min(blocks[i]))
+        elif fault == 4:
+            if blocks[i]:
+                blocks[i].discard(max(blocks[i]))
+            blocks[i].add(draw(st.sampled_from([-1, 0, size + 1, size + 2])))
+        elif fault == 5:
+            gaps[i] = draw(st.integers(-2, 0))
+        elif fault == 6:
+            k_shift = draw(st.integers(-2, 2))
+        elif fault == 7:
+            n = draw(st.integers(0, size + 1))
+        elif fault == 8:
+            gaps.append(draw(st.integers(-1, 2)))
+    return tuple(frozenset(b) for b in blocks), tuple(gaps), sum(gaps) + k_shift, n
 
 
 class TestPolytopeSpec:
@@ -211,6 +325,59 @@ class TestFromWindingVector:
         assert winding_vector(p).w == w
 
 
+class TestFromWindingVectorReference:
+    def test_matches_reference_on_every_vector(self):
+        for k in range(1, 6):
+            for n in range(1, 7):
+                for w in product(range(k), repeat=n):
+                    assert _outcome(dosp_from_winding_vector, w, k) == _outcome(
+                        _reference_dosp_from_winding_vector, w, k
+                    )
+
+    def test_matches_reference_on_invalid_input(self):
+        cases = [((), 3), ((0,), None), ((0, 0), 0), ((0, -1), 0), ((1, 1), -2)]
+        for k in range(1, 5):
+            for n in range(1, 4):
+                cases.extend((w, k) for w in product(range(-2, k + 2), repeat=n))
+        wv = WindingVector((0, 1, 1), 2)
+        cases.extend([(wv, None), (wv, 2), (wv, 3), (list(wv.w), 2), ([0, 5, 1], 2)])
+        for w, k in cases:
+            assert _outcome(dosp_from_winding_vector, w, k) == _outcome(
+                _reference_dosp_from_winding_vector, w, k
+            )
+
+
+    def test_rejects_non_integer_input(self):
+        for w, k in [((0.0, 1.0, 1.0), 2), ((0, 1, 1), 2.0)]:
+            with pytest.raises(TypeError):
+                dosp_from_winding_vector(w, k)
+            with pytest.raises(TypeError):
+                _reference_dosp_from_winding_vector(w, k)
+
+
+class TestBlockInterning:
+    def test_cache_is_bounded(self):
+        assert _block_of_mask.cache_info().maxsize == 4096
+
+    def test_equal_blocks_are_one_object(self):
+        first = dosp_from_winding_vector((0, 1, 0, 2), 3)
+        second = dosp_from_winding_vector((0, 2, 0, 1), 3)
+        assert first.gaps != second.gaps
+        assert first.blocks[0] is second.blocks[0] == frozenset({1, 2})
+        assert first.blocks[1] is second.blocks[1] == frozenset({3, 4})
+
+    def test_eviction_keeps_partitions_right(self):
+        # at n = 13 the two-spot partitions hold all 8191 nonempty blocks,
+        # twice what the cache keeps
+        _block_of_mask.cache_clear()
+        for d in range(13):
+            for wv in enumerate_winding_vectors(2, 13, d):
+                assert dosp_from_winding_vector(wv) == _reference_dosp_from_winding_vector(wv)
+        info = _block_of_mask.cache_info()
+        assert info.currsize == 4096
+        assert info.misses == 8191
+
+
 class TestCyclicShift:
     def test_shift_by_one(self):
         shifted = cyclic_shift_elements(ex1(), 1)
@@ -284,6 +451,16 @@ class TestDospValidation:
     def test_no_blocks(self):
         with pytest.raises(ValueError, match="at least one block"):
             Dosp((), (), 0, 0)
+
+    @given(block_gap_tuples())
+    def test_matches_itemized_checks(self, parts):
+        expected = _reference_dosp_fault(*parts)
+        if expected is None:
+            assert Dosp(*parts).blocks == parts[0]
+        else:
+            with pytest.raises(ValueError) as excinfo:
+                Dosp(*parts)
+            assert str(excinfo.value) == expected
 
 
 class TestSpotDiagram:

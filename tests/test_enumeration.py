@@ -12,6 +12,29 @@ from hstar_lab.enumeration import (
 )
 
 
+def _recursive_bounded_vectors(length, bound, total):
+    """The recursive generator that bounded_vectors replaced, kept as the
+    reference for its order and its degenerate cases."""
+    if length < 0 or bound < 0:
+        raise ValueError("length and bound must be nonnegative")
+    if total < 0 or total > length * bound:
+        return
+    buf = [0] * length
+
+    def rec(i, rem):
+        if i == length:
+            yield tuple(buf)
+            return
+        slots = length - i - 1
+        lo = max(0, rem - slots * bound)
+        hi = min(bound, rem)
+        for v in range(lo, hi + 1):
+            buf[i] = v
+            yield from rec(i + 1, rem - v)
+
+    yield from rec(0, total)
+
+
 class TestStream:
     def test_weight_two_vectors(self):
         got = [wv.w for wv in enumerate_winding_vectors(2, 4, 1)]
@@ -47,6 +70,19 @@ class TestStream:
     def test_bounded_vectors_degenerate(self):
         assert list(bounded_vectors(0, 3, 0)) == [()]
         assert list(bounded_vectors(0, 3, 1)) == []
+
+    def test_bounded_vectors_match_recursive_reference(self):
+        for length in range(8):
+            for bound in range(5):
+                for total in range(-1, length * bound + 2):
+                    assert list(bounded_vectors(length, bound, total)) == list(
+                        _recursive_bounded_vectors(length, bound, total)
+                    )
+
+    def test_bounded_vectors_reject_negative_sizes(self):
+        for length, bound in [(-1, 2), (2, -1)]:
+            with pytest.raises(ValueError, match="nonnegative"):
+                list(bounded_vectors(length, bound, 0))
 
 
 class TestCounts:
