@@ -10,7 +10,6 @@ inclusion-exclusion argument that makes the first two agree.
 
 from .coeffcore import (
     IntPoly,
-    RestrictedCoeffParams,
     coeff_of,
     eulerian,
     eulerian_by_enumeration,

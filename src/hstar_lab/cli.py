@@ -12,8 +12,8 @@ import argparse
 import json
 import os
 import sys
-from functools import cache
-from itertools import combinations
+from functools import cache, partial
+from itertools import combinations, product
 
 from .coeffcore import eulerian, eulerian_by_enumeration
 from .dosp import (
@@ -24,7 +24,6 @@ from .dosp import (
     winding_vector,
 )
 from .enumeration import (
-    _thread_cap,
     count_dosps,
     enumerate_winding_vectors,
     hstar_combinatorial,
@@ -66,7 +65,6 @@ def _parse_spec(args) -> PolytopeSpec:
 
 def cmd_hstar(args) -> int:
     try:
-        _thread_cap()
         spec = _parse_spec(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -138,35 +136,35 @@ def cmd_enum(args) -> int:
     return 0
 
 
-def _sweep(checks) -> tuple[bool, str]:
-    """Run (params, ok) pairs; report the count or the first counterexample.
+def _sweep(cases, check) -> tuple[bool, str]:
+    """Check every case; report the count or the first counterexample.
     A sweep that checks no case fails: it would vouch for nothing."""
     total = 0
-    for params, ok in checks:
-        if not ok:
-            return False, f"first counterexample {params}"
+    for case in cases:
+        if not check(*case):
+            return False, f"first counterexample {case}"
         total += 1
     if total == 0:
         return False, "0 cases (bounds select no cases)"
     return True, f"{total} cases"
 
 
-def _suite_lemma1(max_n, max_k, max_r):
-    return _sweep(
-        ((n, m, a), check_lemma1(n, m, a))
-        for n in range(1, max_n + 1)
-        for m in range(1, max_n + 1)
-        for a in range(1, max_k + 1)
-    )
+def _lemma1_cases(max_n, max_k, max_r):
+    return product(range(1, max_n + 1), range(1, max_n + 1), range(1, max_k + 1))
 
 
-def _suite_prop1(max_n, max_k, max_r):
-    return _sweep(
-        ((s, a, n), check_prop1(s, a, n, max_degree=10))
-        for s in range(0, 6)
-        for a in range(1, max_k + 1)
-        for n in range(s, max_n + 1)
-    )
+def _prop1_cases(max_n, max_k, max_r):
+    for s in range(0, 6):
+        for a in range(1, max_k + 1):
+            for n in range(s, max_n + 1):
+                yield s, a, n
+
+
+def _prop2_cases(max_n, max_k, max_r):
+    for k in range(1, max_k + 1):
+        for n in range(1, max_n + 1):
+            for d in range(0, n):
+                yield k, n, d
 
 
 def _check_prop2(k, n, d) -> bool:
@@ -179,43 +177,35 @@ def _check_prop2(k, n, d) -> bool:
     return all(winding_vector(p) == wv for p, wv in zip(partitions, vectors))
 
 
-def _suite_prop2(max_n, max_k, max_r):
-    return _sweep(
-        ((k, n, d), _check_prop2(k, n, d))
-        for k in range(1, max_k + 1)
-        for n in range(1, max_n + 1)
-        for d in range(0, n)
-    )
-
-
-def _suite_prop3(max_n, max_k, max_r):
-    return _sweep(
-        ((k, n, r, d), check_prop3(k, n, r, d))
-        for r in range(1, max_r + 1)
-        for n in range(2, max_n + 1)
-        for k in range(1, min(max_k, r * n - 1) + 1)
-        for d in range(0, n)
-    )
-
-
 def _grounds(n: int, max_size: int):
+    """Nonempty ground sets avoiding n, at most max_size elements, each a
+    sorted tuple."""
     for size in range(1, max_size + 1):
-        for combo in combinations(range(1, n), size):
-            yield frozenset(combo)
+        yield from combinations(range(1, n), size)
 
 
-def _suite_prop4(max_n, max_k, max_r):
-    return _sweep(
-        ((k, n, r, d, tuple(sorted(ground))), check_prop4(k, n, d, r, ground))
-        for r in range(1, max_r + 1)
-        for n in range(2, max_n + 1)
-        for k in range(1, min(max_k, r * n - 1) + 1)
-        for ground in _grounds(n, 3)
-        for d in range(0, n)
-    )
+def _sieve_cases(max_n, max_k, max_r, ground_size=None, capped=False):
+    """Cases (k, n, r, d), or (k, n, r, d, ground) over _grounds when
+    ground_size is given; capped keeps k below r*n."""
+    for r in range(1, max_r + 1):
+        for n in range(2, max_n + 1):
+            if ground_size is None:
+                extras = [()]
+            else:
+                extras = [(ground,) for ground in _grounds(n, ground_size)]
+            top_k = min(max_k, r * n - 1) if capped else max_k
+            for k in range(1, top_k + 1):
+                for extra in extras:
+                    for d in range(0, n):
+                        yield (k, n, r, d, *extra)
 
 
-def _check_prop5(k, n, d, r, ground) -> bool:
+def _check_prop4(k, n, r, d, ground) -> bool:
+    return check_prop4(k, n, d, r, ground)
+
+
+def _check_prop5(k, n, r, d, ground) -> bool:
+    ground = frozenset(ground)  # one set shared by every vector built below
     members = run_free_family(k, n, d, r, ground)
     vectors = list(enumerate_second_winding_vectors(k, n, d, r, ground))
     if len(members) != len(vectors):
@@ -229,67 +219,50 @@ def _check_prop5(k, n, d, r, ground) -> bool:
     return seen == set(vectors)
 
 
-def _suite_prop5(max_n, max_k, max_r):
-    return _sweep(
-        ((k, n, r, d, tuple(sorted(ground))), _check_prop5(k, n, d, r, ground))
-        for r in range(1, max_r + 1)
-        for n in range(2, max_n + 1)
-        for k in range(1, max_k + 1)
-        for ground in _grounds(n, 2)
-        for d in range(0, n)
-    )
+def _check_eq6(k, n, r, d, ground) -> bool:
+    return sieve_term(k, n, d, r, ground) == sieve_term_closed_form(k, n, d, r, len(ground))
 
 
-def _suite_eq6(max_n, max_k, max_r):
-    return _sweep(
-        (
-            (k, n, r, d, tuple(sorted(ground))),
-            sieve_term(k, n, d, r, ground)
-            == sieve_term_closed_form(k, n, d, r, len(ground)),
-        )
-        for r in range(1, max_r + 1)
-        for n in range(2, max_n + 1)
-        for k in range(1, max_k + 1)
-        for ground in _grounds(n, 3)
-        for d in range(0, n)
-    )
+def _eulerian_cases(max_n, max_k, max_r):
+    for n in range(2, max_n + 1):
+        for k in range(1, n):
+            yield "volume", k, n
+    for n in range(1, min(max_n, 7) + 1):
+        for k in range(1, n + 1):
+            yield "bruteforce", k, n
 
 
-def _suite_eulerian(max_n, max_k, max_r):
-    def checks():
-        for n in range(2, max_n + 1):
-            for k in range(1, n):
-                total = hstar_closed_form(PolytopeSpec(1, k, n)).total()
-                yield (("volume", k, n), total == eulerian(k, n - 1))
-        for n in range(1, min(max_n, 7) + 1):
-            for k in range(1, n + 1):
-                yield (("bruteforce", k, n), eulerian(k, n) == eulerian_by_enumeration(k, n))
-
-    return _sweep(checks())
+def _check_eulerian(kind, k, n) -> bool:
+    if kind == "volume":
+        return hstar_closed_form(PolytopeSpec(1, k, n)).total() == eulerian(k, n - 1)
+    return eulerian(k, n) == eulerian_by_enumeration(k, n)
 
 
-# suite -> (runner, default max_n, default max_k, default max_r)
+# suite -> (cases(max_n, max_k, max_r), check(*case), default (max_n, max_k, max_r))
 _SUITES = {
-    "lemma1": (_suite_lemma1, 12, 6, 1),
-    "prop1": (_suite_prop1, 8, 4, 1),
-    "prop2": (_suite_prop2, 5, 4, 1),
-    "prop3": (_suite_prop3, 5, 5, 2),
-    "prop4": (_suite_prop4, 5, 4, 2),
-    "prop5": (_suite_prop5, 6, 6, 2),
-    "eq6": (_suite_eq6, 6, 6, 2),
-    "eulerian": (_suite_eulerian, 9, 0, 0),
+    "lemma1": (_lemma1_cases, check_lemma1, (12, 6, 1)),
+    "prop1": (_prop1_cases, partial(check_prop1, max_degree=10), (8, 4, 1)),
+    "prop2": (_prop2_cases, _check_prop2, (5, 4, 1)),
+    "prop3": (partial(_sieve_cases, capped=True), check_prop3, (5, 5, 2)),
+    "prop4": (partial(_sieve_cases, ground_size=3, capped=True), _check_prop4, (5, 4, 2)),
+    "prop5": (partial(_sieve_cases, ground_size=2), _check_prop5, (6, 6, 2)),
+    "eq6": (partial(_sieve_cases, ground_size=3), _check_eq6, (6, 6, 2)),
+    "eulerian": (_eulerian_cases, _check_eulerian, (9, 0, 0)),
 }
 
 
 def cmd_verify(args) -> int:
+    given = (args.max_n, args.max_k, args.max_r)
+    for flag, value in zip(("--max-n", "--max-k", "--max-r"), given):
+        if value is not None and value < 0:
+            print(f"error: {flag} must be nonnegative", file=sys.stderr)
+            return 1
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     for name in names:
-        runner, def_n, def_k, def_r = _SUITES[name]
-        max_n = args.max_n if args.max_n is not None else def_n
-        max_k = args.max_k if args.max_k is not None else def_k
-        max_r = args.max_r if args.max_r is not None else def_r
-        ok, detail = runner(max_n, max_k, max_r)
+        cases, check, defaults = _SUITES[name]
+        bounds = [d if v is None else v for v, d in zip(given, defaults)]
+        ok, detail = _sweep(cases(*bounds), check)
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         all_ok = all_ok and ok
     return 0 if all_ok else 1
@@ -334,12 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-n", type=int, default=None)
     p_verify.add_argument("--max-k", type=int, default=None)
     p_verify.add_argument("--max-r", type=int, default=None)
-    p_verify.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="accepted for reproducibility scripting; every sweep is exhaustive",
-    )
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

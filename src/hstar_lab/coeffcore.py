@@ -26,7 +26,6 @@ __all__ = [
     "IntPoly",
     "ZERO",
     "ONE",
-    "RestrictedCoeffParams",
     "coeff_of",
     "poly_add",
     "poly_mul",
@@ -113,19 +112,6 @@ def poly_pow(p: IntPoly, e: int) -> IntPoly:
     for _ in range(e):
         result = poly_mul(result, p)
     return result
-
-
-@dataclass(frozen=True)
-class RestrictedCoeffParams:
-    """Arguments of restricted_coeff: n factors, target degree b, part bound a
-    (parts run over 0..a-1)."""
-
-    n: int
-    b: int
-    a: int
-
-    def coefficient(self) -> int:
-        return restricted_coeff(self.n, self.b, self.a)
 
 
 def restricted_coeff(n: int, b: int, a: int) -> int:

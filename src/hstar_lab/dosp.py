@@ -252,15 +252,23 @@ def parse_dosp(text: str, k: int, n: int) -> Dosp:
 def winding_vector(partition: Dosp) -> WindingVector:
     """Clockwise spot distance from the block of i to the block of i+1 for
     each i, with w_i = 0 when the two share a block."""
-    spot_of: dict[int, int] = {}
-    acc = 0
+    spots = _element_spots(partition)
+    k = partition.k
+    w = tuple((end - start) % k for start, end in zip(spots, spots[1:] + spots[:1]))
+    return WindingVector(w, k)
+
+
+def _element_spots(partition: Dosp) -> list[int]:
+    """The spot of each element, element e at index e-1: the first stored
+    block sits on spot 0 and each next block its gap label further
+    clockwise."""
+    spots = [0] * partition.n
+    q = 0
     for block, gap in zip(partition.blocks, partition.gaps):
         for e in block:
-            spot_of[e] = acc
-        acc += gap
-    k, n = partition.k, partition.n
-    w = tuple((spot_of[i % n + 1] - spot_of[i]) % k for i in range(1, n + 1))
-    return WindingVector(w, k)
+            spots[e - 1] = q
+        q += gap
+    return spots
 
 
 def winding_number(partition: Dosp) -> int:

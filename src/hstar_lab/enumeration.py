@@ -4,14 +4,11 @@ type and winding number, and the h*-vector obtained by direct counting.
 Winding vectors are the enumeration backbone: by the bijection with
 partitions, streaming all vectors with entries in 0..k-1 and sum k*d visits
 every partition of type (k, n) with winding number d exactly once.  Counting
-builds and filters one partition per vector, slice by slice over the first
-entry, in a single thread; HSTAR_LAB_THREADS is validated but changes
-nothing.
+builds and filters one partition per streamed vector.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterator
 
 from .coeffcore import restricted_coeff
@@ -96,31 +93,6 @@ def count_dosps(k: int, n: int, d: int) -> int:
     return restricted_coeff(n, k * d, k)
 
 
-def _thread_cap() -> int:
-    """HSTAR_LAB_THREADS as a positive integer, 1 when unset.  Counting runs
-    in one thread whatever the value (threads gain nothing under the GIL),
-    but a malformed value is still rejected."""
-    raw = os.environ.get("HSTAR_LAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError("HSTAR_LAB_THREADS must be a positive integer") from None
-    if cap < 1:
-        raise ValueError("HSTAR_LAB_THREADS must be a positive integer")
-    return cap
-
-
-def _count_slice(k: int, n: int, r: int, d: int, first: int) -> int:
-    count = 0
-    for suffix in bounded_vectors(n - 1, k - 1, k * d - first):
-        partition = dosp_from_winding_vector((first, *suffix), k)
-        if is_r_hypersimplicial(partition, r):
-            count += 1
-    return count
-
-
 def count_r_hypersimplicial(k: int, n: int, r: int, d: int) -> int:
     """Number of r-hypersimplicial partitions of type (k, n) with winding
     number d, by streaming winding vectors, converting each to a partition,
@@ -129,8 +101,11 @@ def count_r_hypersimplicial(k: int, n: int, r: int, d: int) -> int:
         raise ValueError("k, n and r must be positive")
     if d < 0:
         raise ValueError("winding number d must be nonnegative")
-    _thread_cap()
-    return sum(_count_slice(k, n, r, d, first) for first in range(k))
+    count = 0
+    for w in bounded_vectors(n, k - 1, k * d):
+        if is_r_hypersimplicial(dosp_from_winding_vector(w, k), r):
+            count += 1
+    return count
 
 
 def hstar_combinatorial(spec: PolytopeSpec) -> HStarVector:

@@ -29,7 +29,7 @@ from itertools import accumulate
 from typing import Iterable, Iterator, Optional
 
 from .coeffcore import restricted_coeff
-from .dosp import Dosp, SpotDiagram, canonicalize, r_bad_blocks
+from .dosp import Dosp, _element_spots, _gaps_between, canonicalize, r_bad_blocks
 from .enumeration import bounded_vectors, count_r_hypersimplicial, iter_dosps
 
 __all__ = [
@@ -340,22 +340,25 @@ def second_winding_vector(partition: Dosp, r: int, ground: Iterable[int]) -> Sec
     """
     ground = frozenset(ground)
     _require_ground(ground, partition.n)
-    diagram = SpotDiagram.from_dosp(partition)
-    red = diagram.red_spots(ground, r)
-    spot_of: dict[int, int] = {}
-    for q, block in enumerate(diagram.occupancy):
-        if block is not None:
-            for e in block:
-                spot_of[e] = q
-    k, n = partition.k, partition.n
+    k = partition.k
+    spots = _element_spots(partition)
+    # each marked singleton colors its spot and the r-1 spots after it red;
+    # those are empty exactly when its gap label is at least r
+    blue_at = [1] * k
+    for t in sorted(ground):
+        i = next(i for i, block in enumerate(partition.blocks) if t in block)
+        if len(partition.blocks[i]) > 1:
+            raise ValueError(f"marked element {t} is not a singleton block")
+        if partition.gaps[i] < r:
+            raise ValueError(f"singleton block {{{t}}} needs {r - 1} empty spots after it")
+        for off in range(r):
+            blue_at[(spots[t - 1] + off) % k] = 0
     # blue_upto[q]: blue spots among 0..q, so a walk (start, end] passes
     # blue_upto[end] - blue_upto[start] of them, plus all when it wraps
-    blue_upto = list(accumulate(0 if q in red else 1 for q in range(k)))
+    blue_upto = list(accumulate(blue_at))
     blue = blue_upto[-1]
     v = []
-    for i in range(1, n + 1):
-        start = spot_of[i]
-        end = spot_of[i % n + 1]
+    for start, end in zip(spots, spots[1:] + spots[:1]):
         v.append(blue_upto[end] - blue_upto[start] + (blue if end < start else 0))
     return SecondWindingVector(tuple(v), ground, r, k)
 
@@ -413,9 +416,7 @@ def dosp_from_second_winding_vector(
             pos += swv.r
     if pos != swv.k:
         raise AssertionError("spot expansion must fill the whole circle")
-    ends = starts[1:] + [starts[0] + swv.k]
-    gaps = tuple(end - start for start, end in zip(starts, ends))
-    return canonicalize(Dosp(tuple(blocks), gaps, swv.k, n))
+    return canonicalize(Dosp(tuple(blocks), _gaps_between(starts, swv.k), swv.k, n))
 
 
 def enumerate_second_winding_vectors(

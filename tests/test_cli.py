@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -19,9 +18,9 @@ SCHEMA = json.loads(
 )
 
 
-def run_cli(args: list[str], env: dict | None = None) -> subprocess.CompletedProcess:
+def run_cli(args: list[str]) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-m", "hstar_lab", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "hstar_lab", *args], capture_output=True, text=True
     )
 
 
@@ -83,14 +82,6 @@ class TestHstarCommand:
         big = [e for e in record["hstar"] if isinstance(e, str)]
         assert big, "expected at least one decimal-string entry"
         assert all(int(e) > 2**53 - 1 for e in big)
-
-    def test_bad_thread_cap_is_a_one_line_error(self):
-        for raw in ("x", "0"):
-            env = {**os.environ, "HSTAR_LAB_THREADS": raw}
-            result = run_cli(["hstar", "--r", "1", "--k", "2", "--n", "4"], env=env)
-            assert result.returncode == 1
-            assert result.stdout == ""
-            assert result.stderr == "error: HSTAR_LAB_THREADS must be a positive integer\n"
 
     def test_closed_pipe_exits_1_quietly(self):
         args = ["hstar", "--r", "1", "--k", "30", "--n", "60", "--method", "formula"]
@@ -245,16 +236,18 @@ class TestVerifyCommand:
         assert result.returncode == 0
         assert result.stdout.startswith("PASS eulerian:")
 
-    def test_seed_flag_accepted(self):
-        result = run_cli(
-            ["verify", "--suite", "lemma1", "--max-n", "3", "--max-k", "2", "--seed", "7"]
-        )
-        assert result.returncode == 0
-
     def test_vacuous_sweep_fails(self):
-        result = run_cli(["verify", "--suite", "prop3", "--max-n", "-3"])
+        result = run_cli(["verify", "--suite", "prop3", "--max-n", "1"])
         assert result.returncode == 1
         assert result.stdout == "FAIL prop3: 0 cases (bounds select no cases)\n"
+
+    @pytest.mark.parametrize("flag", ["--max-n", "--max-k", "--max-r"])
+    def test_negative_bound_is_a_one_line_error(self, flag, capsys):
+        for suite in ("all", "eulerian"):
+            assert cli.main(["verify", "--suite", suite, flag, "-1"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {flag} must be nonnegative\n"
 
     def test_default_case_counts(self, capsys):
         assert cli.main(["verify", "--suite", "all"]) == 0
@@ -270,13 +263,23 @@ class TestVerifyCommand:
         ]
 
     def test_failure_reports_counterexample(self, monkeypatch, capsys):
-        monkeypatch.setitem(
-            cli._SUITES, "lemma1", (lambda *_: (False, "first counterexample (1, 1, 1)"), 1, 1, 1)
-        )
-        code = cli.main(["verify", "--suite", "lemma1"])
-        assert code == 1
-        out = capsys.readouterr().out
-        assert out.startswith("FAIL lemma1: first counterexample")
+        cases, _, defaults = cli._SUITES["lemma1"]
+        monkeypatch.setitem(cli._SUITES, "lemma1", (cases, lambda *_: False, defaults))
+        assert cli.main(["verify", "--suite", "lemma1"]) == 1
+        assert capsys.readouterr().out == "FAIL lemma1: first counterexample (1, 1, 1)\n"
+
+    @pytest.mark.parametrize(
+        "check, case",
+        [
+            (lambda *_: False, "(1, 2, 1, 0, (1,))"),
+            (lambda *case: len(case[-1]) < 2, "(1, 3, 1, 0, (1, 2))"),
+        ],
+    )
+    def test_counterexample_prints_ground_as_sorted_tuple(self, check, case, monkeypatch, capsys):
+        cases, _, defaults = cli._SUITES["prop4"]
+        monkeypatch.setitem(cli._SUITES, "prop4", (cases, check, defaults))
+        assert cli.main(["verify", "--suite", "prop4"]) == 1
+        assert capsys.readouterr().out == f"FAIL prop4: first counterexample {case}\n"
 
 
 class TestEncoding:

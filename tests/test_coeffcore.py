@@ -9,7 +9,6 @@ from hstar_lab.coeffcore import (
     ONE,
     ZERO,
     IntPoly,
-    RestrictedCoeffParams,
     _power_row,
     coeff_of,
     eulerian,
@@ -111,9 +110,6 @@ class TestRestrictedCoeff:
     def test_pascal_recurrence(self, n, a, b):
         expected = sum(restricted_coeff(n - 1, b - j, a) for j in range(a))
         assert restricted_coeff(n, b, a) == expected
-
-    def test_params_wrapper(self):
-        assert RestrictedCoeffParams(4, 2, 2).coefficient() == 6
 
 
 class TestEulerian:

@@ -130,24 +130,3 @@ class TestHypersimplicialCounts:
             for k in range(1, n):
                 total = sum(count_r_hypersimplicial(k, n, 1, d) for d in range(n))
                 assert total == eulerian(k, n - 1)
-
-    def test_first_coordinate_partition(self):
-        # summing slice counts over the first entry equals the sequential count
-        from hstar_lab.enumeration import _count_slice
-
-        for k, n, r, d in [(3, 5, 1, 2), (4, 4, 2, 1), (2, 6, 1, 2)]:
-            sliced = sum(_count_slice(k, n, r, d, first) for first in range(k))
-            assert sliced == count_r_hypersimplicial(k, n, r, d)
-
-    def test_thread_cap_does_not_change_counts(self, monkeypatch):
-        baseline = count_r_hypersimplicial(3, 5, 1, 2)
-        monkeypatch.setenv("HSTAR_LAB_THREADS", "3")
-        assert count_r_hypersimplicial(3, 5, 1, 2) == baseline
-
-    def test_invalid_thread_cap(self, monkeypatch):
-        monkeypatch.setenv("HSTAR_LAB_THREADS", "zero")
-        with pytest.raises(ValueError):
-            count_r_hypersimplicial(2, 3, 1, 1)
-        monkeypatch.setenv("HSTAR_LAB_THREADS", "0")
-        with pytest.raises(ValueError):
-            count_r_hypersimplicial(2, 3, 1, 1)
