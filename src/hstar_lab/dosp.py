@@ -56,7 +56,7 @@ class PolytopeSpec:
             raise ValueError(f"slice level k={self.k} must satisfy 0 < k < r*n = {self.r * self.n}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dosp:
     """Ordered blocks partitioning {1..n} with positive gap labels summing to k.
 
@@ -114,7 +114,7 @@ class Dosp:
         return format_dosp(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WindingVector:
     """Clockwise distances from the block of i to the block of i+1, indices
     cyclic; entries lie in 0..k-1 and sum to a multiple of k."""
@@ -157,7 +157,7 @@ class SpotDiagram:
         if not occupied:
             raise ValueError("diagram has no occupied spot")
         blocks = tuple(self.occupancy[q] for q in occupied)
-        return blocks, _gaps_between(occupied, self.k)
+        return blocks, _gaps_between(tuple(occupied), self.k)
 
     def to_dosp(self) -> Dosp:
         blocks, gaps = self.blocks_and_gaps()
@@ -282,11 +282,16 @@ def _elements(n: int) -> frozenset[int]:
     return frozenset(range(1, n + 1))
 
 
-def _gaps_between(occupied: list[int], k: int) -> tuple[int, ...]:
+@lru_cache(maxsize=4096)
+def _gaps_between(occupied: tuple[int, ...], k: int) -> tuple[int, ...]:
     """Gap labels of the blocks on the given occupied spots, listed in
     increasing order on a circle of k spots: the clockwise distance from each
-    spot to the next, the last one wrapping round to the first."""
-    return tuple(map(operator.sub, occupied[1:] + [occupied[0] + k], occupied))
+    spot to the next, the last one wrapping round to the first.
+
+    Cached.  Spots that start at 0, as _dosp_from_spot_masks passes them, are
+    fixed by their gap tuple, so the partitions built there share each gap
+    tuple for as long as the entry is kept."""
+    return tuple(map(operator.sub, (*occupied[1:], occupied[0] + k), occupied))
 
 
 @lru_cache(maxsize=4096)
@@ -302,8 +307,9 @@ def dosp_from_winding_vector(w, k: Optional[int] = None) -> Dosp:
 
     Accepts a WindingVector or a plain sequence plus k.  Entries must lie in
     0..k-1 and sum to a multiple of k; the circle is walked clockwise, placing
-    1 on spot 0 and each next element w_i spots further.  Equal blocks are
-    shared between the partitions built here (see _block_of_mask).
+    1 on spot 0 and each next element w_i spots further.  Equal blocks and
+    equal gap tuples are shared between the partitions built here (see
+    _dosp_from_spot_masks).
     """
     if isinstance(w, WindingVector):
         if k is None:
@@ -335,9 +341,18 @@ def dosp_from_winding_vector(w, k: Optional[int] = None) -> Dosp:
         masks[q] = masks.get(q, 0) | bit
         q = (q + wi) % k
         bit <<= 1
-    occupied = sorted(masks)
+    return _dosp_from_spot_masks(masks, k, n)
+
+
+def _dosp_from_spot_masks(masks: dict[int, int], k: int, n: int) -> Dosp:
+    """The partition of type (k, n) with one block on each spot of masks,
+    holding the elements set in that spot's bitmask (bit e-1 standing for
+    element e).  Element 1 must sit on spot 0, so that the block list, read
+    clockwise from spot 0, comes out canonical.  Blocks come from
+    _block_of_mask and gaps from _gaps_between, so equal blocks and equal gap
+    tuples are shared between the partitions built here."""
+    occupied = tuple(sorted(masks))
     blocks = tuple([_block_of_mask(masks[q]) for q in occupied])
-    # element 1 sits on spot 0, so the block list is already canonical
     return Dosp(blocks, _gaps_between(occupied, k), k, n)
 
 

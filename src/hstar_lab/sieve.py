@@ -15,10 +15,12 @@ elements.  check_prop3 and check_prop4 verify the two collapsing steps of the
 sieve, and sieve_term_closed_form is the resulting closed form, checked by
 the eq6 sweep.
 
-The materialized families (dosp_family, and the members paired with their
-r-bad blocks) are cached, at most 256 of each, so a long-lived process keeps
-bounded memory.  Members share equal blocks, which dosp_from_winding_vector
-interns, and within one cached entry equal r-bad block sets are stored once.
+The materialized families (dosp_family, and the r-bad block sets of their
+members, kept as a tuple aligned with the family) are cached, at most 256 of
+each, so a long-lived process keeps bounded memory.  Members are slotted
+records that share equal blocks and equal gap tuples, which the spot-mask
+constructor in dosp interns; within one cached entry equal r-bad block sets
+are stored once.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from itertools import accumulate
 from typing import Iterable, Iterator, Optional
 
 from .coeffcore import restricted_coeff
-from .dosp import Dosp, _element_spots, _gaps_between, canonicalize, r_bad_blocks
+from .dosp import Dosp, _dosp_from_spot_masks, _element_spots, canonicalize, r_bad_blocks
 from .enumeration import bounded_vectors, count_r_hypersimplicial, iter_dosps
 
 __all__ = [
@@ -90,34 +92,33 @@ def dosp_family(k: int, n: int, d: int) -> tuple[Dosp, ...]:
     """All partitions of type (k, n) with winding number d, materialized in
     stream order.  Meant for desk-scale exhaustive checks.
 
-    Members share equal blocks: a family over {1..n} has at most 2**n - 1
-    distinct blocks, and dosp_from_winding_vector takes each from one
-    process-wide intern cache, so each is stored once however many members
-    hold it.  At most 256 families stay cached; the default verify bounds
-    need 120.
+    Members share equal blocks and equal gap tuples: a family over {1..n}
+    has at most 2**n - 1 distinct blocks and 2**(k-1) distinct gap tuples,
+    and dosp_from_winding_vector takes each from a process-wide intern
+    cache, so each is stored once however many members hold it.  At most 256
+    families stay cached; the default verify bounds need 120.
     """
     return tuple(iter_dosps(k, n, d))
 
 
 @lru_cache(maxsize=256)
 def _family_with_bad_blocks(k: int, n: int, d: int, r: int):
-    """Each family member paired with its set of r-bad blocks; equal sets are
+    """The set of r-bad blocks of each member of dosp_family(k, n, d), in the
+    same order, with no reference to the members themselves; equal sets are
     stored once per entry.  The default verify bounds need 240 entries."""
     shared: dict[frozenset[frozenset[int]], frozenset[frozenset[int]]] = {}
-    pairs = []
-    for p in dosp_family(k, n, d):
-        bad = r_bad_blocks(p, r)
-        pairs.append((p, shared.setdefault(bad, bad)))
-    return tuple(pairs)
+    bad_sets = (r_bad_blocks(p, r) for p in dosp_family(k, n, d))
+    return tuple([shared.setdefault(bad, bad) for bad in bad_sets])
 
 
 def dosps_with_bad_parts(k: int, n: int, d: int, r: int, parts) -> list[Dosp]:
     """Partitions of type (k, n) with winding number d whose set of r-bad
     blocks contains every given part as a block, in stream order."""
     required = frozenset(frozenset(p) for p in parts)
+    bad_sets = _family_with_bad_blocks(k, n, d, r)
     return [
         partition
-        for partition, bad in _family_with_bad_blocks(k, n, d, r)
+        for partition, bad in zip(dosp_family(k, n, d), bad_sets, strict=True)
         if required <= bad
     ]
 
@@ -290,7 +291,7 @@ def chi_by_runs(partition: Dosp, r: int, ground: Iterable[int], parts) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SecondWindingVector:
     """Blue-spot counts along the walk from i to i+1 after the spots of the
     marked singleton blocks and their r-1 trailing empties are colored red.
@@ -376,7 +377,9 @@ def dosp_from_second_winding_vector(
     that is also given must match it.  Elements are first placed on a circle
     of blue spots by walking the entries; each marked element of a blue block
     is then spread clockwise behind the rest of its block, largest first, as
-    a singleton followed by r-1 empty spots.  Inverse of
+    a singleton followed by r-1 empty spots.  The circle is then turned so
+    that the block holding 1 comes first, and the partition is built once,
+    sharing blocks and gap tuples like dosp_from_winding_vector.  Inverse of
     second_winding_vector; rejects vectors violating the invariants.
     """
     if isinstance(v, SecondWindingVector):
@@ -391,32 +394,40 @@ def dosp_from_second_winding_vector(
         if k is None or r is None or ground is None:
             raise ValueError("k, r and the ground set are required with a plain sequence")
         swv = SecondWindingVector(tuple(v), frozenset(ground), r, k)
-    n = len(swv.v)
+    n, k, r = len(swv.v), swv.k, swv.r
     blue = swv.blue_count()
-    spots: list[list[int]] = [[] for _ in range(blue)]
+    # blue spot -> bitmask of the elements on it, bit e-1 standing for
+    # element e: 1 on blue spot 0 and each next element v_i blue spots further
+    on_blue = [0] * blue
     q = 0
-    spots[0].append(1)
-    for i in range(1, n):
-        q = (q + swv.v[i - 1]) % blue
-        spots[q].append(i + 1)
+    bit = 1
+    for vi in swv.v:
+        on_blue[q] |= bit
+        q = (q + vi) % blue
+        bit <<= 1
     # each blue spot expands to one spot, holding its unmarked elements if
     # any, followed by r spots per marked element, largest first
-    blocks: list[frozenset[int]] = []
-    starts: list[int] = []
+    marked = sum(1 << (t - 1) for t in swv.ground)
+    masks: dict[int, int] = {}
     pos = 0
-    for content in spots:
-        rest = [e for e in content if e not in swv.ground]
-        if rest:
-            blocks.append(frozenset(rest))
-            starts.append(pos)
+    for mask in on_blue:
+        if mask & ~marked:
+            masks[pos] = mask & ~marked
         pos += 1
-        for t in reversed([e for e in content if e in swv.ground]):
-            blocks.append(frozenset((t,)))
-            starts.append(pos)
-            pos += swv.r
-    if pos != swv.k:
+        mask &= marked
+        while mask:
+            top = 1 << (mask.bit_length() - 1)
+            masks[pos] = top
+            pos += r
+            mask ^= top
+    if pos != k:
         raise AssertionError("spot expansion must fill the whole circle")
-    return canonicalize(Dosp(tuple(blocks), _gaps_between(starts, swv.k), swv.k, n))
+    # element 1 lies in the expansion of blue spot 0; turn the circle so
+    # that its block sits on spot 0
+    one = next(q for q, mask in masks.items() if mask & 1)
+    if one:
+        masks = {(q - one) % k: mask for q, mask in masks.items()}
+    return _dosp_from_spot_masks(masks, k, n)
 
 
 def enumerate_second_winding_vectors(

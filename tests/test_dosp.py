@@ -18,6 +18,7 @@ from hstar_lab.dosp import (
     winding_number,
     winding_vector,
     _block_of_mask,
+    _gaps_between,
 )
 from hstar_lab.enumeration import enumerate_winding_vectors, iter_dosps
 
@@ -376,6 +377,17 @@ class TestBlockInterning:
         info = _block_of_mask.cache_info()
         assert info.currsize == 4096
         assert info.misses == 8191
+
+
+class TestGapInterning:
+    def test_cache_is_bounded(self):
+        assert _gaps_between.cache_info().maxsize == 4096
+
+    def test_equal_gap_tuples_are_one_object(self):
+        first = dosp_from_winding_vector((1, 2, 0), 3)
+        second = dosp_from_winding_vector((1, 0, 2), 3)
+        assert first.blocks != second.blocks
+        assert first.gaps is second.gaps == (1, 2)
 
 
 class TestCyclicShift:

@@ -1,19 +1,25 @@
+import copy
+import pickle
 import tracemalloc
+from dataclasses import FrozenInstanceError, dataclass, fields
 from itertools import combinations
 
 import pytest
 
-from hstar_lab.cli import main
+from hstar_lab.cli import _SUITES, main
 from hstar_lab.coeffcore import restricted_coeff
 from hstar_lab.dosp import (
     Dosp,
     SpotDiagram,
+    WindingVector,
+    _gaps_between,
     canonicalize,
     dosp_from_winding_vector,
     format_dosp,
     parse_dosp,
     r_bad_blocks,
     winding_number,
+    winding_vector,
 )
 from hstar_lab.enumeration import count_dosps, enumerate_winding_vectors, iter_dosps
 from hstar_lab.sieve import (
@@ -125,11 +131,12 @@ class TestFamilyCaches:
             for k in range(1, 6):
                 for n in range(1, 6):
                     for d in range(n):
-                        pairs = _family_with_bad_blocks(k, n, d, r)
-                        assert [p for p, _ in pairs] == list(dosp_family(k, n, d))
-                        for p, bad in pairs:
+                        # one set per member, aligned with the family
+                        sets = _family_with_bad_blocks(k, n, d, r)
+                        family = dosp_family(k, n, d)
+                        assert len(sets) == len(family)
+                        for p, bad in zip(family, sets):
                             assert bad == r_bad_blocks(p, r)
-                        sets = [bad for _, bad in pairs]
                         assert len({id(bad) for bad in sets}) == len(set(sets))
 
     def test_verify_builds_each_family_once(self, capsys):
@@ -141,9 +148,30 @@ class TestFamilyCaches:
             assert info.maxsize == 256
             assert info.misses == info.currsize == keys
 
+    def test_default_bound_families_share_gap_tuples(self):
+        for k in range(1, 7):
+            for n in range(2, 7):
+                for d in range(n):
+                    gaps = [p.gaps for p in dosp_family(k, n, d)]
+                    assert len({id(g) for g in gaps}) == len(set(gaps))
+
+    def test_reconstructed_partitions_share_gap_tuples(self):
+        # every partition the prop5 suite rebuilds at its default bounds
+        _gaps_between.cache_clear()
+        cases, _, bounds = _SUITES["prop5"]
+        gaps = [
+            dosp_from_second_winding_vector(v).gaps
+            for k, n, r, d, ground in cases(*bounds)
+            for v in enumerate_second_winding_vectors(k, n, d, r, ground)
+        ]
+        assert len({id(g) for g in gaps}) == len(set(gaps))
+
     def test_default_bound_families_stay_small(self):
-        # every family the default verify bounds build: about 7 MB when
-        # members share blocks and bad-block sets, about 24 MB otherwise
+        # every family the default verify bounds build: about 3.1 MB when
+        # members are slotted and share blocks and gap tuples, and the
+        # bad-block sets are stored once each with no pair tuples; about
+        # 6.3 MB with pairs and a gap tuple and __dict__ per member, and
+        # about 24 MB with nothing shared
         _clear_family_caches()
         tracemalloc.start()
         try:
@@ -156,7 +184,94 @@ class TestFamilyCaches:
         finally:
             tracemalloc.stop()
         assert _family_with_bad_blocks.cache_info().currsize == 240
-        assert current < 12 * 2**20
+        assert current < 4 * 2**20
+
+
+@dataclass(frozen=True)
+class _PlainDosp:
+    blocks: tuple
+    gaps: tuple
+    k: int
+    n: int
+
+
+@dataclass(frozen=True)
+class _PlainWindingVector:
+    w: tuple
+    k: int
+
+
+@dataclass(frozen=True)
+class _PlainSecondWindingVector:
+    v: tuple
+    ground: frozenset
+    r: int
+    k: int
+
+
+# each record class with the unslotted frozen dataclass it replaced
+_PLAIN = {
+    Dosp: _PlainDosp,
+    WindingVector: _PlainWindingVector,
+    SecondWindingVector: _PlainSecondWindingVector,
+}
+
+
+def _records():
+    """Every partition with k <= 4 and n <= 4, its winding vector, and every
+    second winding vector of those types for r <= 2 and grounds of size <= 2
+    avoiding n, grouped by class."""
+    grid = {cls: [] for cls in _PLAIN}
+    for k in range(1, 5):
+        for n in range(1, 5):
+            for d in range(n):
+                for p in dosp_family(k, n, d):
+                    grid[Dosp].append(p)
+                    grid[WindingVector].append(winding_vector(p))
+                for r in (1, 2):
+                    for m in range(3):
+                        for ground in combinations(range(1, n), m):
+                            grid[SecondWindingVector].extend(
+                                enumerate_second_winding_vectors(k, n, d, r, ground)
+                            )
+    return grid
+
+
+def _plain(record):
+    return _PLAIN[type(record)](*(getattr(record, f.name) for f in fields(record)))
+
+
+class TestSlottedRecords:
+    @pytest.mark.parametrize("cls", list(_PLAIN))
+    def test_no_instance_dict(self, cls):
+        record = _records()[cls][-1]
+        assert cls.__slots__ == tuple(f.name for f in fields(cls))
+        assert not hasattr(record, "__dict__")
+
+    @pytest.mark.parametrize("cls", list(_PLAIN))
+    def test_fields_are_frozen_and_no_others_attach(self, cls):
+        record = _records()[cls][-1]
+        for f in fields(cls):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, f.name, None)
+        with pytest.raises(AttributeError):
+            object.__setattr__(record, "extra", None)
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        for records in _records().values():
+            for record in records:
+                for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+                    assert type(clone) is type(record)
+                    assert clone == record and hash(clone) == hash(record)
+                    assert not hasattr(clone, "__dict__")
+
+    def test_hash_and_eq_match_plain_dataclasses(self):
+        for cls, records in _records().items():
+            assert "__slots__" in vars(cls)
+            plain = [_plain(x) for x in records]
+            assert [hash(x) for x in records] == [hash(y) for y in plain]
+            for x, px in zip(records, plain):
+                assert [x == y for y in records] == [px == py for py in plain]
 
 
 class TestSieveTerm:
