@@ -8,17 +8,7 @@ number (hstar_combinatorial), and recovery from exact lattice-point counts
 inclusion-exclusion argument that makes the first two agree.
 """
 
-from .coeffcore import (
-    IntPoly,
-    coeff_of,
-    eulerian,
-    eulerian_by_enumeration,
-    poly_add,
-    poly_mul,
-    poly_pow,
-    poly_scale,
-    restricted_coeff,
-)
+from .coeffcore import eulerian, eulerian_by_enumeration, restricted_coeff
 from .dosp import (
     Dosp,
     PolytopeSpec,
@@ -36,7 +26,6 @@ from .dosp import (
 )
 from .enumeration import (
     bounded_vectors,
-    count_dosps,
     count_r_hypersimplicial,
     enumerate_winding_vectors,
     hstar_combinatorial,
@@ -46,6 +35,7 @@ from .hstar import (
     HStarVector,
     check_lemma1,
     check_prop1,
+    count_dosps,
     hstar_closed_form,
     raw_series_numerator,
 )

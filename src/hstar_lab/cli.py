@@ -23,12 +23,8 @@ from .dosp import (
     is_r_hypersimplicial,
     winding_vector,
 )
-from .enumeration import (
-    count_dosps,
-    enumerate_winding_vectors,
-    hstar_combinatorial,
-)
-from .hstar import check_lemma1, check_prop1, hstar_closed_form
+from .enumeration import enumerate_winding_vectors, hstar_combinatorial
+from .hstar import check_lemma1, check_prop1, count_dosps, hstar_closed_form
 from .oracle import hstar_from_oracle
 from .sieve import (
     check_prop3,

@@ -1,5 +1,5 @@
-"""Exact combinatorial primitives shared by every other module: coefficients
-of bounded-part powers, Eulerian numbers, and dense integer polynomials.
+"""Exact combinatorial primitives: coefficients of bounded-part powers and
+Eulerian numbers.
 
 All arithmetic is arbitrary-precision integer arithmetic; nothing here ever
 touches floating point.
@@ -18,100 +18,14 @@ mirror image.  Rows are kept in a cache bounded at 256 rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
 __all__ = [
-    "IntPoly",
-    "ZERO",
-    "ONE",
-    "coeff_of",
-    "poly_add",
-    "poly_mul",
-    "poly_pow",
-    "poly_scale",
     "restricted_coeff",
     "eulerian",
     "eulerian_by_enumeration",
 ]
-
-
-@dataclass(frozen=True)
-class IntPoly:
-    """Dense integer polynomial; coeffs[i] is the coefficient of t**i.
-
-    The zero polynomial is the empty tuple; otherwise the stored leading
-    coefficient is nonzero.  Build values through IntPoly.of, which strips
-    trailing zeros.
-    """
-
-    coeffs: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("leading coefficient must be nonzero; use IntPoly.of")
-
-    @classmethod
-    def of(cls, coeffs) -> IntPoly:
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(tuple(cs))
-
-    def degree(self) -> int:
-        """Degree of the polynomial, -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-
-ZERO = IntPoly()
-ONE = IntPoly((1,))
-
-
-def coeff_of(p: IntPoly, degree: int) -> int:
-    """Coefficient of t**degree, 0 beyond the stored degree."""
-    if degree < 0 or degree >= len(p.coeffs):
-        return 0
-    return p.coeffs[degree]
-
-
-def poly_add(p: IntPoly, q: IntPoly) -> IntPoly:
-    if len(p.coeffs) < len(q.coeffs):
-        p, q = q, p
-    out = list(p.coeffs)
-    for i, c in enumerate(q.coeffs):
-        out[i] += c
-    return IntPoly.of(out)
-
-
-def poly_scale(p: IntPoly, c: int) -> IntPoly:
-    if c == 0:
-        return ZERO
-    return IntPoly.of(x * c for x in p.coeffs)
-
-
-def poly_mul(p: IntPoly, q: IntPoly) -> IntPoly:
-    if not p or not q:
-        return ZERO
-    out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
-    for i, a in enumerate(p.coeffs):
-        if a == 0:
-            continue
-        for j, b in enumerate(q.coeffs):
-            out[i + j] += a * b
-    return IntPoly.of(out)
-
-
-def poly_pow(p: IntPoly, e: int) -> IntPoly:
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    result = ONE
-    for _ in range(e):
-        result = poly_mul(result, p)
-    return result
 
 
 def restricted_coeff(n: int, b: int, a: int) -> int:
@@ -167,20 +81,15 @@ def eulerian(k: int, n: int) -> int:
     return _descent_row(n)[k - 1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _descent_row(n: int) -> tuple[int, ...]:
-    # row[m] counts permutations of {1..n} with m descents
-    if n == 1:
-        return (1,)
-    prev = _descent_row(n - 1)
-    row = []
-    for m in range(n):
-        val = 0
-        if m < n - 1:
-            val += (m + 1) * prev[m]
-        if m >= 1:
-            val += (n - m) * prev[m - 1]
-        row.append(val)
+    # row[m] counts permutations of {1..n} with m descents.  The rows are
+    # built up from n = 1 in a loop, not by recursion, so neither the stack
+    # nor the bounded cache grows with n.
+    row = [1]
+    for size in range(2, n + 1):
+        padded = [0, *row, 0]
+        row = [(m + 1) * padded[m + 1] + (size - m) * padded[m] for m in range(size)]
     return tuple(row)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .coeffcore import restricted_coeff
 from .dosp import (
     Dosp,
     PolytopeSpec,
@@ -25,7 +24,6 @@ __all__ = [
     "bounded_vectors",
     "enumerate_winding_vectors",
     "iter_dosps",
-    "count_dosps",
     "count_r_hypersimplicial",
     "hstar_combinatorial",
 ]
@@ -85,12 +83,6 @@ def iter_dosps(k: int, n: int, d: int) -> Iterator[Dosp]:
     lexicographic order of their winding vectors."""
     for wv in enumerate_winding_vectors(k, n, d):
         yield dosp_from_winding_vector(wv)
-
-
-def count_dosps(k: int, n: int, d: int) -> int:
-    """Number of partitions of type (k, n) with winding number d; equals the
-    length of the winding-vector stream."""
-    return restricted_coeff(n, k * d, k)
 
 
 def count_r_hypersimplicial(k: int, n: int, r: int, d: int) -> int:

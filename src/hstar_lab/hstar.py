@@ -8,11 +8,16 @@ alternating sum
 where <n : b>_a is the coefficient of t**b in (1 + t + ... + t**(a-1))**n and
 terms stop contributing once the part bound k - r*i drops below 1.
 raw_series_numerator expands the unsimplified rational-series numerator with
-exact (t - 1)**j factors; its coefficients must agree with the simplified sum,
-and everything of degree n and above must cancel.
+exact (t - 1)**j factors; everything of degree n and above must cancel, and
+its coefficients of degrees 0 .. n-1 must equal the simplified sum's entries.
+Integer coefficient sequences are plain tuples and lists throughout, entry i
+being the coefficient of t**i.
 
 check_lemma1 and check_prop1 verify the two identities that connect the raw
-numerator to the simplified sum, on explicit inputs.
+numerator to the simplified sum, on explicit inputs; check_prop1 and
+raw_series_numerator expand the same series-shift sum, _shifted_series.
+count_dosps gives the number of partitions per winding number from the same
+coefficient rows.
 """
 
 from __future__ import annotations
@@ -20,22 +25,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coeffcore import (
-    ZERO,
-    IntPoly,
-    coeff_of,
-    poly_add,
-    poly_mul,
-    poly_pow,
-    poly_scale,
-    restricted_coeff,
-)
+from .coeffcore import restricted_coeff
 from .dosp import PolytopeSpec
 
 __all__ = [
     "HStarVector",
     "hstar_closed_form",
     "raw_series_numerator",
+    "count_dosps",
     "check_lemma1",
     "check_prop1",
 ]
@@ -64,9 +61,6 @@ class HStarVector:
         """Sum of the entries, the normalized volume."""
         return sum(self.entries)
 
-    def polynomial(self) -> IntPoly:
-        return IntPoly.of(self.entries)
-
 
 def hstar_closed_form(spec: PolytopeSpec) -> HStarVector:
     """h*-vector by the simplified alternating sum, one entry per winding
@@ -88,8 +82,9 @@ def hstar_closed_form(spec: PolytopeSpec) -> HStarVector:
     return HStarVector(tuple(entries), spec)
 
 
-def raw_series_numerator(spec: PolytopeSpec) -> IntPoly:
-    """Numerator of the Ehrhart series over (1 - t)**n, expanded literally.
+def raw_series_numerator(spec: PolytopeSpec) -> tuple[int, ...]:
+    """Numerator of the Ehrhart series over (1 - t)**n, expanded literally,
+    as its n coefficients of degrees 0 .. n-1.
 
     Computes sum_i (-1)**i C(n,i) sum_j C(i,j) (t-1)**j sum_l <n-j : l*a>_a t**l
     with a = k - r*i, truncating the l sum at l = n; coefficients there are
@@ -98,26 +93,39 @@ def raw_series_numerator(spec: PolytopeSpec) -> IntPoly:
     lives below degree n.
     """
     n, k, r = spec.n, spec.k, spec.r
-    total = ZERO
-    i = 0
-    while k - r * i >= 1:
-        a = k - r * i
-        inner = ZERO
-        for j in range(i + 1):
-            series = IntPoly.of([restricted_coeff(n - j, l * a, a) for l in range(n + 1)])
-            if not series:
-                continue
-            term = poly_mul(poly_pow(IntPoly.of((-1, 1)), j), series)
-            inner = poly_add(inner, poly_scale(term, math.comb(i, j)))
-        total = poly_add(total, poly_scale(inner, (-1) ** i * math.comb(n, i)))
-        i += 1
-    for degree in range(n, total.degree() + 1):
-        if coeff_of(total, degree):
+    last = (k - 1) // r  # the last i whose part bound k - r*i is at least 1
+    total = [0] * (n + last + 1)
+    for i in range(last + 1):
+        weight = (-1) ** i * math.comb(n, i)
+        for degree, c in enumerate(_shifted_series(n, k - r * i, i, n)):
+            total[degree] += weight * c
+    for degree in range(n, len(total)):
+        if total[degree]:
             raise AssertionError(
                 f"series numerator has a nonzero coefficient at degree {degree}; "
                 "degrees n and above must cancel"
             )
-    return total
+    return tuple(total[:n])
+
+
+def _shifted_series(n: int, a: int, s: int, top: int) -> list[int]:
+    """All top + s + 1 coefficients of
+
+        sum_(j <= min(s, n)) C(s,j) (t-1)**j sum_(l <= top) <n-j : l*a>_a t**l,
+
+    the series side of the series-shift identity, with (t-1)**j expanded as
+    sum_e C(j,e) (-1)**(j-e) t**e.  Rows j > n have a negative upper index
+    and are zero.
+    """
+    out = [0] * (top + s + 1)
+    for j in range(min(s, n) + 1):
+        shift = [math.comb(s, j) * math.comb(j, e) * (-1) ** (j - e) for e in range(j + 1)]
+        for l in range(top + 1):
+            c = restricted_coeff(n - j, l * a, a)
+            if c:
+                for e, q in enumerate(shift):
+                    out[l + e] += c * q
+    return out
 
 
 def check_lemma1(n: int, m: int, a: int) -> bool:
@@ -142,19 +150,12 @@ def check_prop1(s: int, a: int, n: int, max_degree: int) -> bool:
     negative upper index are treated as zero, so calling with s > n reports
     the genuine failure instead of raising.
     """
-    lhs = [0] * (max_degree + 1)
-    for j in range(s + 1):
-        if j > n:
-            continue
-        c_binom = math.comb(s, j)
-        shift = poly_pow(IntPoly.of((-1, 1)), j)
-        for l in range(max_degree + 1):
-            c = restricted_coeff(n - j, l * a, a)
-            if c == 0:
-                continue
-            for e, q in enumerate(shift.coeffs):
-                degree = l + e
-                if degree <= max_degree:
-                    lhs[degree] += c_binom * c * q
+    lhs = _shifted_series(n, a, s, max_degree)[: max_degree + 1]
     rhs = [restricted_coeff(n, l * a - s, a) for l in range(max_degree + 1)]
     return lhs == rhs
+
+
+def count_dosps(k: int, n: int, d: int) -> int:
+    """Number of partitions of type (k, n) with winding number d, <n : k*d>_k;
+    equals the length of the winding-vector stream."""
+    return restricted_coeff(n, k * d, k)

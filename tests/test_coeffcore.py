@@ -6,24 +6,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hstar_lab.coeffcore import (
-    ONE,
-    ZERO,
-    IntPoly,
+    _descent_row,
     _power_row,
-    coeff_of,
     eulerian,
     eulerian_by_enumeration,
-    poly_add,
-    poly_mul,
-    poly_pow,
-    poly_scale,
     restricted_coeff,
 )
 
 
-def bounded_power(n: int, a: int) -> IntPoly:
-    """Independent oracle: (1 + t + ... + t**(a-1))**n by generic convolution."""
-    return poly_pow(IntPoly.of([1] * a), n)
+def bounded_power(n: int, a: int) -> list[int]:
+    """Independent oracle: (1 + t + ... + t**(a-1))**n by schoolbook
+    convolution, one factor at a time."""
+    row = [1]
+    for _ in range(n):
+        out = [0] * (len(row) + a - 1)
+        for i, c in enumerate(row):
+            for j in range(a):
+                out[i + j] += c
+        row = out
+    return row
 
 
 class TestRestrictedCoeff:
@@ -57,8 +58,9 @@ class TestRestrictedCoeff:
         for n in range(0, 7):
             for a in range(1, 6):
                 row = bounded_power(n, a)
-                for b in range(0, n * (a - 1) + 1):
-                    assert restricted_coeff(n, b, a) == coeff_of(row, b)
+                assert len(row) == n * (a - 1) + 1
+                for b, c in enumerate(row):
+                    assert restricted_coeff(n, b, a) == c
 
     def test_matches_per_element_sliding_window(self):
         # the per-element loop the prefix-sum kernel replaced, kept as reference
@@ -129,6 +131,14 @@ class TestEulerian:
             for k in range(1, n + 1):
                 assert eulerian(k, n) == eulerian_by_enumeration(k, n)
 
+    def test_long_rows_from_a_cold_bounded_cache(self):
+        # rows far beyond the default recursion limit, built without
+        # recursion, and a cache that cannot grow with n
+        _descent_row.cache_clear()
+        assert eulerian(1, 600) == eulerian(600, 600) == 1
+        assert eulerian(2, 600) == 2**600 - 601
+        assert _descent_row.cache_info().maxsize is not None
+
     @pytest.mark.parametrize("k,n", [(0, 3), (4, 3), (-1, 5)])
     def test_domain_errors(self, k, n):
         with pytest.raises(ValueError):
@@ -136,46 +146,3 @@ class TestEulerian:
         with pytest.raises(ValueError):
             eulerian_by_enumeration(k, n)
 
-
-class TestIntPoly:
-    def test_of_strips_trailing_zeros(self):
-        assert IntPoly.of([1, 2, 0, 0]).coeffs == (1, 2)
-        assert IntPoly.of([0, 0]).coeffs == ()
-        assert not IntPoly.of([])
-
-    def test_raw_constructor_rejects_trailing_zero(self):
-        with pytest.raises(ValueError):
-            IntPoly((1, 0))
-
-    def test_coeff_of_zero_poly(self):
-        assert coeff_of(ZERO, 3) == 0
-
-    def test_coeff_of_beyond_degree(self):
-        assert coeff_of(IntPoly.of([1, 2]), 5) == 0
-        assert coeff_of(IntPoly.of([1, 2]), -1) == 0
-
-    def test_square_of_one_plus_t(self):
-        p = IntPoly.of([1, 1])
-        assert poly_mul(p, p).coeffs == (1, 2, 1)
-
-    def test_hand_convolution(self):
-        p = IntPoly.of([1, 1, 1])
-        assert poly_mul(p, p).coeffs == (1, 2, 3, 2, 1)
-
-    def test_add_and_cancel(self):
-        p = IntPoly.of([1, 2, 1])
-        q = IntPoly.of([0, 0, -1])
-        assert poly_add(p, q).coeffs == (1, 2)
-
-    def test_scale(self):
-        assert poly_scale(IntPoly.of([1, 2]), 3).coeffs == (3, 6)
-        assert poly_scale(IntPoly.of([1, 2]), 0) == ZERO
-
-    def test_pow(self):
-        assert poly_pow(IntPoly.of([1, 1]), 0) == ONE
-        assert poly_pow(IntPoly.of([1, 1]), 3).coeffs == (1, 3, 3, 1)
-        with pytest.raises(ValueError):
-            poly_pow(ONE, -1)
-
-    def test_mul_by_zero(self):
-        assert poly_mul(ZERO, IntPoly.of([1, 2])) == ZERO

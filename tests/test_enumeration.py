@@ -1,15 +1,19 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+from hstar_lab import enumeration
 from hstar_lab.coeffcore import eulerian
 from hstar_lab.dosp import PolytopeSpec
 from hstar_lab.enumeration import (
     bounded_vectors,
-    count_dosps,
     count_r_hypersimplicial,
     enumerate_winding_vectors,
     hstar_combinatorial,
     iter_dosps,
 )
+from hstar_lab.hstar import count_dosps
 
 
 def _recursive_bounded_vectors(length, bound, total):
@@ -130,3 +134,19 @@ class TestHypersimplicialCounts:
             for k in range(1, n):
                 total = sum(count_r_hypersimplicial(k, n, 1, d) for d in range(n))
                 assert total == eulerian(k, n - 1)
+
+
+class TestIndependence:
+    def test_shares_no_code_with_coeffcore(self):
+        # enum is only independent of the formula while it reads none of the
+        # coefficient tables
+        tree = ast.parse(Path(enumeration.__file__).read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.append(node.module or "")
+                imported.extend(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.extend(alias.name for alias in node.names)
+        assert imported, "expected enumeration to import something"
+        assert not [name for name in imported if "coeffcore" in name]

@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
 from hstar_lab import hstar
-from hstar_lab.coeffcore import _power_row, eulerian
+from hstar_lab.coeffcore import _power_row, eulerian, restricted_coeff
 from hstar_lab.dosp import PolytopeSpec
 from hstar_lab.hstar import (
     HStarVector,
@@ -76,21 +78,18 @@ class TestClosedForm:
 
 class TestRawNumerator:
     def test_delta24(self):
-        assert raw_series_numerator(PolytopeSpec(1, 2, 4)).coeffs == (1, 2, 1)
+        assert raw_series_numerator(PolytopeSpec(1, 2, 4)) == (1, 2, 1, 0)
 
     def test_unit_simplex(self):
         for n in range(2, 7):
-            assert raw_series_numerator(PolytopeSpec(1, 1, n)).coeffs == (1,)
+            assert raw_series_numerator(PolytopeSpec(1, 1, n)) == (1,) + (0,) * (n - 1)
 
     def test_matches_closed_form(self):
         for r in (1, 2, 3):
             for n in range(2, 8):
                 for k in range(1, min(r * n - 1, 6) + 1):
                     spec = PolytopeSpec(r, k, n)
-                    numerator = raw_series_numerator(spec)
-                    entries = hstar_closed_form(spec).entries
-                    padded = numerator.coeffs + (0,) * (n - len(numerator.coeffs))
-                    assert padded == entries, spec
+                    assert raw_series_numerator(spec) == hstar_closed_form(spec).entries, spec
 
 
 class TestLemma1:
@@ -119,11 +118,13 @@ class TestProp1:
         assert check_prop1(1, 2, 3, 5)
 
     def test_sweep(self):
+        # low truncations make the last l of the series sum count
         assert all(
-            check_prop1(s, a, n, 10)
+            check_prop1(s, a, n, max_degree)
             for s in range(0, 6)
             for a in range(1, 5)
             for n in range(s, 9)
+            for max_degree in range(0, 11)
         )
 
     def test_fails_beyond_domain(self):
@@ -132,11 +133,29 @@ class TestProp1:
         assert not check_prop1(1, 2, 0, 6)
 
 
+class TestShiftedSeries:
+    def test_matches_repeated_multiplication_by_t_minus_one(self):
+        # reference: multiply the series by (t - 1) j times, one step at a time
+        def reference(n, a, s, top):
+            out = [0] * (top + s + 1)
+            for j in range(min(s, n) + 1):
+                poly = [restricted_coeff(n - j, l * a, a) for l in range(top + 1)]
+                for _ in range(j):
+                    poly = [x - y for x, y in zip([0, *poly], [*poly, 0])]
+                for e, c in enumerate(poly):
+                    out[e] += math.comb(s, j) * c
+            return out
+
+        for s in range(0, 5):
+            for a in range(1, 5):
+                for n in range(0, 6):
+                    for top in range(0, 7):
+                        assert hstar._shifted_series(n, a, s, top) == reference(n, a, s, top)
+
+
 class TestHStarVector:
-    def test_total_and_polynomial(self):
-        vec = hstar_closed_form(PolytopeSpec(1, 2, 4))
-        assert vec.total() == 4
-        assert vec.polynomial().coeffs == (1, 2, 1)
+    def test_total(self):
+        assert hstar_closed_form(PolytopeSpec(1, 2, 4)).total() == 4
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):

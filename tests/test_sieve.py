@@ -21,7 +21,8 @@ from hstar_lab.dosp import (
     winding_number,
     winding_vector,
 )
-from hstar_lab.enumeration import count_dosps, enumerate_winding_vectors, iter_dosps
+from hstar_lab.enumeration import enumerate_winding_vectors, iter_dosps
+from hstar_lab.hstar import count_dosps
 from hstar_lab.sieve import (
     SecondWindingVector,
     _family_with_bad_blocks,
