@@ -13,7 +13,6 @@ from .dosp import (
     Dosp,
     PolytopeSpec,
     SpotDiagram,
-    WindingVector,
     canonicalize,
     cyclic_shift_elements,
     dosp_from_winding_vector,

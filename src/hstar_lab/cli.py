@@ -105,8 +105,8 @@ def cmd_enum(args) -> int:
         return 1
     count = 0
     truncated = False
-    for wv in enumerate_winding_vectors(args.k, args.n, args.d):
-        partition = dosp_from_winding_vector(wv)
+    for w in enumerate_winding_vectors(args.k, args.n, args.d):
+        partition = dosp_from_winding_vector(w, args.k)
         if args.hypersimplicial and not is_r_hypersimplicial(partition, args.r):
             continue
         if args.limit is not None and count >= args.limit:
@@ -118,11 +118,11 @@ def cmd_enum(args) -> int:
                     "blocks": [sorted(b) for b in partition.blocks],
                     "gaps": list(partition.gaps),
                     "d": args.d,
-                    "winding_vector": list(wv.w),
+                    "winding_vector": list(w),
                 }
             )
         else:
-            print(f"{format_dosp(partition)} w=({','.join(map(str, wv.w))})")
+            print(f"{format_dosp(partition)} w=({','.join(map(str, w))})")
         count += 1
     if args.format == "json":
         _print_json({"count": count, "truncated": truncated})
@@ -165,12 +165,12 @@ def _prop2_cases(max_n, max_k, max_r):
 
 def _check_prop2(k, n, d) -> bool:
     vectors = list(enumerate_winding_vectors(k, n, d))
-    partitions = [dosp_from_winding_vector(wv) for wv in vectors]
+    partitions = [dosp_from_winding_vector(w, k) for w in vectors]
     if len(set(partitions)) != len(vectors):
         return False
     if len(vectors) != count_dosps(k, n, d):
         return False
-    return all(winding_vector(p) == wv for p, wv in zip(partitions, vectors))
+    return all(winding_vector(p) == w for p, w in zip(partitions, vectors))
 
 
 def _grounds(n: int, max_size: int):

@@ -6,11 +6,11 @@ labels summing to k; the label of a block is the clockwise distance to the
 next block.  Rotating the block list does not change the object, and the
 canonical rotation stores the block containing 1 first.
 
-The winding vector of a partition records, for each i, the clockwise distance
-from the block of i to the block of i+1 (indices cyclic in {1..n}); its entry
-sum is k times the winding number.  A block is r-bad when its gap label is at
-least r times its size, and a partition with no r-bad block is
-r-hypersimplicial.
+The winding vector of a partition, a plain tuple, records for each i the
+clockwise distance from the block of i to the block of i+1 (indices cyclic in
+{1..n}); its entry sum is k times the winding number.  A block is r-bad when
+its gap label is at least r times its size, and a partition with no r-bad
+block is r-hypersimplicial.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Iterable, Optional
 __all__ = [
     "PolytopeSpec",
     "Dosp",
-    "WindingVector",
     "SpotDiagram",
     "parse_dosp",
     "format_dosp",
@@ -112,21 +111,6 @@ class Dosp:
 
     def __str__(self) -> str:
         return format_dosp(self)
-
-
-@dataclass(frozen=True, slots=True)
-class WindingVector:
-    """Clockwise distances from the block of i to the block of i+1, indices
-    cyclic; entries lie in 0..k-1 and sum to a multiple of k."""
-
-    w: tuple[int, ...]
-    k: int
-
-    def winding_number(self) -> int:
-        total = sum(self.w)
-        if total % self.k:
-            raise AssertionError("entries of a valid winding vector sum to a multiple of k")
-        return total // self.k
 
 
 @dataclass(frozen=True)
@@ -249,13 +233,12 @@ def parse_dosp(text: str, k: int, n: int) -> Dosp:
     return canonicalize(Dosp(tuple(blocks), tuple(gaps), k, n))
 
 
-def winding_vector(partition: Dosp) -> WindingVector:
+def winding_vector(partition: Dosp) -> tuple[int, ...]:
     """Clockwise spot distance from the block of i to the block of i+1 for
     each i, with w_i = 0 when the two share a block."""
     spots = _element_spots(partition)
     k = partition.k
-    w = tuple((end - start) % k for start, end in zip(spots, spots[1:] + spots[:1]))
-    return WindingVector(w, k)
+    return tuple((end - start) % k for start, end in zip(spots, spots[1:] + spots[:1]))
 
 
 def _element_spots(partition: Dosp) -> list[int]:
@@ -273,7 +256,10 @@ def _element_spots(partition: Dosp) -> list[int]:
 
 def winding_number(partition: Dosp) -> int:
     """Total winding vector length divided by k, an exact division."""
-    return winding_vector(partition).winding_number()
+    total = sum(winding_vector(partition))
+    if total % partition.k:
+        raise AssertionError("entries of a valid winding vector sum to a multiple of k")
+    return total // partition.k
 
 
 @lru_cache(maxsize=64)
@@ -302,23 +288,15 @@ def _block_of_mask(mask: int) -> frozenset[int]:
     return frozenset(e for e in range(1, mask.bit_length() + 1) if mask >> (e - 1) & 1)
 
 
-def dosp_from_winding_vector(w, k: Optional[int] = None) -> Dosp:
-    """The unique partition, returned canonical, whose winding vector is w.
+def dosp_from_winding_vector(w: Iterable[int], k: int) -> Dosp:
+    """The unique partition of type (k, len(w)), returned canonical, whose
+    winding vector is w.
 
-    Accepts a WindingVector or a plain sequence plus k.  Entries must lie in
-    0..k-1 and sum to a multiple of k; the circle is walked clockwise, placing
-    1 on spot 0 and each next element w_i spots further.  Equal blocks and
-    equal gap tuples are shared between the partitions built here (see
-    _dosp_from_spot_masks).
+    Entries must lie in 0..k-1 and sum to a multiple of k; the circle is
+    walked clockwise, placing 1 on spot 0 and each next element w_i spots
+    further.  Equal blocks and equal gap tuples are shared between the
+    partitions built here (see _dosp_from_spot_masks).
     """
-    if isinstance(w, WindingVector):
-        if k is None:
-            k = w.k
-        elif k != w.k:
-            raise ValueError("conflicting circle sizes")
-        w = w.w
-    if k is None:
-        raise ValueError("circle circumference k is required")
     w = tuple(w)
     n = len(w)
     if n == 0:

@@ -14,7 +14,6 @@ from typing import Iterator
 from .dosp import (
     Dosp,
     PolytopeSpec,
-    WindingVector,
     dosp_from_winding_vector,
     is_r_hypersimplicial,
 )
@@ -67,22 +66,21 @@ def bounded_vectors(length: int, bound: int, total: int) -> Iterator[tuple[int, 
         i += 1
 
 
-def enumerate_winding_vectors(k: int, n: int, d: int) -> Iterator[WindingVector]:
-    """Every vector with entries in 0..k-1 summing to k*d, lexicographically;
-    empty when k*d exceeds n*(k-1)."""
+def enumerate_winding_vectors(k: int, n: int, d: int) -> Iterator[tuple[int, ...]]:
+    """Every vector with entries in 0..k-1 summing to k*d, as a plain tuple,
+    lexicographically; empty when k*d exceeds n*(k-1)."""
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive")
     if d < 0:
         raise ValueError("winding number d must be nonnegative")
-    for w in bounded_vectors(n, k - 1, k * d):
-        yield WindingVector(w, k)
+    yield from bounded_vectors(n, k - 1, k * d)
 
 
 def iter_dosps(k: int, n: int, d: int) -> Iterator[Dosp]:
     """Canonical partitions of type (k, n) with winding number d, in the
     lexicographic order of their winding vectors."""
-    for wv in enumerate_winding_vectors(k, n, d):
-        yield dosp_from_winding_vector(wv)
+    for w in enumerate_winding_vectors(k, n, d):
+        yield dosp_from_winding_vector(w, k)
 
 
 def count_r_hypersimplicial(k: int, n: int, r: int, d: int) -> int:

@@ -9,11 +9,12 @@ Every partition in the sieve can be spread into one whose forced elements are
 bad singleton blocks (spread_bad_parts); runs of consecutive marked singleton
 blocks at gap exactly r with increasing elements are the obstruction tracked
 by has_increasing_r_packed_gt1.  Members without such runs are counted by
-second winding vectors: color the spot of each marked singleton and its r-1
-trailing empties red, and record blue spots passed between consecutive
-elements.  check_prop3 and check_prop4 verify the two collapsing steps of the
-sieve, and sieve_term_closed_form is the resulting closed form, checked by
-the eq6 sweep.
+second winding vectors, each a SecondWindingVector that checks its bounds
+when built: color the spot of each marked singleton and its r-1 trailing
+empties red, and record blue spots passed between consecutive elements.
+check_prop3 and check_prop4 verify the two collapsing steps of the sieve, and
+sieve_term_closed_form is the resulting closed form, checked by the eq6
+sweep.
 
 The materialized families (dosp_family, and the r-bad block sets of their
 members, kept as a tuple aligned with the family) are cached, at most 256 of
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .coeffcore import restricted_coeff
 from .dosp import Dosp, _dosp_from_spot_masks, _element_spots, canonicalize, r_bad_blocks
@@ -145,23 +146,13 @@ def has_increasing_r_packed_gt1(partition: Dosp, r: int, ground: Iterable[int]) 
     or more, at gaps exactly r (the final gap at least r) whose elements
     increase along the sequence.  Block indices are cyclic; every starting
     position is scanned."""
-    ground = frozenset(ground)
-    m = len(partition.blocks)
-    if m < 2:
-        return False
-    singlet = [len(b) == 1 and min(b) in ground for b in partition.blocks]
-    elt = [min(b) for b in partition.blocks]
     gaps = partition.gaps
-    for start in range(m):
-        if not singlet[start]:
-            continue
-        for offset in range(1, m):
-            cur = (start + offset - 1) % m
-            nxt = (start + offset) % m
-            if not (singlet[nxt] and gaps[cur] == r and elt[cur] < elt[nxt]):
-                break
-            if gaps[nxt] >= r:
-                return True
+    _, linked = _packed_links(partition, r, frozenset(ground))
+    # a link whose second block has gap at least r is a run of two, and any
+    # longer run starts with one, since a link's own gap is exactly r
+    for link, gap in zip(linked, gaps[1:] + gaps[:1]):
+        if link and gap >= r:
+            return True
     return False
 
 
@@ -221,46 +212,47 @@ def run_free_family(k: int, n: int, d: int, r: int, ground: Iterable[int]) -> li
     ]
 
 
+def _packed_links(
+    partition: Dosp, r: int, ground: frozenset[int]
+) -> tuple[list[int], list[bool]]:
+    """For each stored block i: its element if it is a marked singleton, else
+    0, and whether it links to block i+1 (cyclic).  Block i links when both
+    blocks are marked singletons, the gap at i is exactly r and the elements
+    increase; packed runs are maximal linked stretches."""
+    marked = [min(b) if len(b) == 1 and b <= ground else 0 for b in partition.blocks]
+    following = marked[1:] + marked[:1]
+    linked = [gap == r and 0 < e < f for e, f, gap in zip(marked, following, partition.gaps)]
+    return marked, linked
+
+
 def _ordered_packed_runs(partition: Dosp, r: int, ground: frozenset[int]) -> list[list[int]]:
     """Maximal increasing packed runs of marked singleton blocks, each as the
     list of its elements in circle order (which is increasing).  Every marked
     element, required to be a singleton block, lies in exactly one run."""
     m = len(partition.blocks)
-    singlet = [len(b) == 1 and min(b) in ground for b in partition.blocks]
-    elt = [min(b) for b in partition.blocks]
-    placed = {elt[i] for i in range(m) if singlet[i]}
+    marked, linked = _packed_links(partition, r, ground)
+    placed = {e for e in marked if e}
     if placed != ground:
         missing = sorted(ground - placed)
         raise ValueError(f"marked elements {missing} are not singleton blocks")
-    for i in range(m):
+    for e, gap in zip(marked, partition.gaps):
         # every marked singleton must be r-bad, so runs always end on a gap
         # of at least r
-        if singlet[i] and partition.gaps[i] < r:
-            raise ValueError(f"marked singleton block {{{elt[i]}}} has gap below {r}")
-    # link i -> i+1 when both are marked singlets, the gap at i is exactly r,
-    # and the elements increase; runs are maximal linked stretches
-    linked = [
-        m > 1
-        and singlet[i]
-        and singlet[(i + 1) % m]
-        and partition.gaps[i] == r
-        and elt[i] < elt[(i + 1) % m]
-        for i in range(m)
-    ]
+        if e and gap < r:
+            raise ValueError(f"marked singleton block {{{e}}} has gap below {r}")
     runs: list[list[int]] = []
-    for i in range(m):
-        if not singlet[i]:
+    for i, e in enumerate(marked):
+        if not e:
             continue
-        prev = (i - 1) % m
-        if m > 1 and singlet[prev] and linked[prev]:
+        if linked[i - 1]:
             continue  # not the head of a run
-        run = [elt[i]]
+        run = [e]
         cur = i
         while linked[cur]:
             cur = (cur + 1) % m
             if cur == i:
                 break  # full cycle is impossible while n stays unmarked
-            run.append(elt[cur])
+            run.append(marked[cur])
         runs.append(run)
     return runs
 
@@ -307,6 +299,11 @@ class SecondWindingVector:
     k: int
 
     def __post_init__(self):
+        # stored as a tuple and a frozenset, so equal vectors hash equal
+        if type(self.v) is not tuple:
+            object.__setattr__(self, "v", tuple(self.v))
+        if type(self.ground) is not frozenset:
+            object.__setattr__(self, "ground", frozenset(self.ground))
         n = len(self.v)
         if n < 1:
             raise ValueError("vector must be nonempty")
@@ -364,36 +361,17 @@ def second_winding_vector(partition: Dosp, r: int, ground: Iterable[int]) -> Sec
     return SecondWindingVector(tuple(v), ground, r, k)
 
 
-def dosp_from_second_winding_vector(
-    v,
-    k: Optional[int] = None,
-    r: Optional[int] = None,
-    ground: Optional[Iterable[int]] = None,
-) -> Dosp:
-    """The unique run-free partition whose second winding vector is v.
+def dosp_from_second_winding_vector(swv: SecondWindingVector) -> Dosp:
+    """The unique run-free partition whose second winding vector is swv.
 
-    Accepts a SecondWindingVector or a plain sequence plus k, r and the
-    ground set; with a SecondWindingVector, any of k, r and the ground set
-    that is also given must match it.  Elements are first placed on a circle
-    of blue spots by walking the entries; each marked element of a blue block
-    is then spread clockwise behind the rest of its block, largest first, as
-    a singleton followed by r-1 empty spots.  The circle is then turned so
-    that the block holding 1 comes first, and the partition is built once,
-    sharing blocks and gap tuples like dosp_from_winding_vector.  Inverse of
-    second_winding_vector; rejects vectors violating the invariants.
+    Elements are first placed on a circle of blue spots by walking the
+    entries; each marked element of a blue block is then spread clockwise
+    behind the rest of its block, largest first, as a singleton followed by
+    r-1 empty spots.  The circle is then turned so that the block holding 1
+    comes first, and the partition is built once, sharing blocks and gap
+    tuples like dosp_from_winding_vector.  Inverse of second_winding_vector;
+    the bounds on swv are enforced when it is constructed.
     """
-    if isinstance(v, SecondWindingVector):
-        swv = v
-        if (
-            (k is not None and k != swv.k)
-            or (r is not None and r != swv.r)
-            or (ground is not None and frozenset(ground) != swv.ground)
-        ):
-            raise ValueError("conflicting parameters")
-    else:
-        if k is None or r is None or ground is None:
-            raise ValueError("k, r and the ground set are required with a plain sequence")
-        swv = SecondWindingVector(tuple(v), frozenset(ground), r, k)
     n, k, r = len(swv.v), swv.k, swv.r
     blue = swv.blue_count()
     # blue spot -> bitmask of the elements on it, bit e-1 standing for

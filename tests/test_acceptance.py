@@ -77,8 +77,8 @@ def test_criterion_3_golden_fixtures():
     failures = []
 
     example1 = parse_dosp("({1,2,7}_2,{3,5}_3,{4,6}_1)", 6, 7)
-    if winding_vector(example1).w != (0, 2, 3, 3, 3, 1, 0):
-        failures.append(("winding vector", winding_vector(example1).w))
+    if winding_vector(example1) != (0, 2, 3, 3, 3, 1, 0):
+        failures.append(("winding vector", winding_vector(example1)))
     if winding_number(example1) != 2:
         failures.append(("winding number", winding_number(example1)))
 
@@ -150,14 +150,14 @@ def test_criterion_5_bijection_round_trips():
         for n in range(1, 6):
             for d in range(n):
                 vectors = list(enumerate_winding_vectors(k, n, d))
-                partitions = [dosp_from_winding_vector(wv) for wv in vectors]
+                partitions = [dosp_from_winding_vector(w, k) for w in vectors]
                 if len(set(partitions)) != len(vectors):
                     failures.append(("prop2 injectivity", k, n, d))
                 if len(vectors) != count_dosps(k, n, d):
                     failures.append(("prop2 count", k, n, d))
-                for wv, p in zip(vectors, partitions):
-                    if winding_vector(p) != wv:
-                        failures.append(("prop2 inverse", k, n, d, wv))
+                for w, p in zip(vectors, partitions):
+                    if winding_vector(p) != w:
+                        failures.append(("prop2 inverse", k, n, d, w))
 
     # second winding vectors <-> run-free families, exhaustively
     for r in (1, 2):
@@ -187,11 +187,11 @@ def test_criterion_5_bijection_round_trips():
     for k in range(1, 5):
         for n in range(1, 6):
             for d in range(n):
-                for wv in enumerate_winding_vectors(k, n, d):
-                    p = dosp_from_winding_vector(wv)
+                for w in enumerate_winding_vectors(k, n, d):
+                    p = dosp_from_winding_vector(w, k)
                     for s in range(n):
                         if winding_number(cyclic_shift_elements(p, s)) != d:
-                            failures.append(("lemma2", k, n, d, s, wv.w))
+                            failures.append(("lemma2", k, n, d, s, w))
 
     report("5 bijection round trips", failures)
 

@@ -3,11 +3,11 @@ from itertools import product
 import pytest
 from hypothesis import given, assume, strategies as st
 
+from hstar_lab import dosp
 from hstar_lab.dosp import (
     Dosp,
     PolytopeSpec,
     SpotDiagram,
-    WindingVector,
     canonicalize,
     cyclic_shift_elements,
     dosp_from_winding_vector,
@@ -38,17 +38,9 @@ def winding_inputs(draw):
     return w, k
 
 
-def _reference_dosp_from_winding_vector(w, k=None):
+def _reference_dosp_from_winding_vector(w, k):
     """The per-spot list walk that dosp_from_winding_vector replaced, kept
     as the reference for its results and its error messages."""
-    if isinstance(w, WindingVector):
-        if k is None:
-            k = w.k
-        elif k != w.k:
-            raise ValueError("conflicting circle sizes")
-        w = w.w
-    if k is None:
-        raise ValueError("circle circumference k is required")
     w = tuple(w)
     n = len(w)
     if n == 0:
@@ -222,31 +214,31 @@ class TestParse:
 
 class TestWinding:
     def test_example_vector_and_number(self):
-        wv = winding_vector(ex1())
-        assert wv.w == (0, 2, 3, 3, 3, 1, 0)
-        assert wv.k == 6
+        assert winding_vector(ex1()) == (0, 2, 3, 3, 3, 1, 0)
         assert winding_number(ex1()) == 2
 
     def test_single_block_is_zero(self):
         for n in range(1, 6):
             for k in range(1, 5):
                 p = Dosp((frozenset(range(1, n + 1)),), (k,), k, n)
-                assert winding_vector(p).w == (0,) * n
+                assert winding_vector(p) == (0,) * n
                 assert winding_number(p) == 0
 
     def test_alternating_blocks(self):
         p = parse_dosp("({1,3}_1,{2,4}_1)", 2, 4)
-        assert winding_vector(p).w == (1, 1, 1, 1)
+        assert winding_vector(p) == (1, 1, 1, 1)
         assert winding_number(p) == 2
 
     def test_two_blocks_winding_one(self):
         p = parse_dosp("({1,2}_1,{3,4}_1)", 2, 4)
-        assert winding_vector(p).w == (0, 1, 0, 1)
+        assert winding_vector(p) == (0, 1, 0, 1)
         assert winding_number(p) == 1
 
-    def test_winding_vector_invariant_violation(self):
+    def test_winding_vector_invariant_violation(self, monkeypatch):
+        # no partition has such a vector, so substitute one to reach the check
+        monkeypatch.setattr(dosp, "winding_vector", lambda partition: (1, 0))
         with pytest.raises(AssertionError):
-            WindingVector((1, 0), 3).winding_number()
+            winding_number(Dosp((frozenset({1}), frozenset({2})), (1, 2), 3, 2))
 
 
 class TestBadBlocks:
@@ -297,10 +289,9 @@ class TestFromWindingVector:
             assert p.gaps == (k,)
 
     def test_accepts_winding_vector_value(self):
-        wv = winding_vector(ex1())
-        assert dosp_from_winding_vector(wv) == ex1()
-        with pytest.raises(ValueError, match="conflicting"):
-            dosp_from_winding_vector(wv, 7)
+        assert dosp_from_winding_vector(winding_vector(ex1()), 6) == ex1()
+        with pytest.raises(TypeError):
+            dosp_from_winding_vector(winding_vector(ex1()))
 
     def test_rejects_out_of_range_entries(self):
         with pytest.raises(ValueError, match="outside"):
@@ -314,16 +305,16 @@ class TestFromWindingVector:
         for k in range(1, 4):
             for n in range(1, 5):
                 for d in range(n):
-                    for wv in enumerate_winding_vectors(k, n, d):
-                        p = dosp_from_winding_vector(wv)
-                        assert winding_vector(p) == wv
+                    for w in enumerate_winding_vectors(k, n, d):
+                        p = dosp_from_winding_vector(w, k)
+                        assert winding_vector(p) == w
                         assert winding_number(p) == d
 
     @given(winding_inputs())
     def test_round_trip_property(self, wk):
         w, k = wk
         p = dosp_from_winding_vector(w, k)
-        assert winding_vector(p).w == w
+        assert winding_vector(p) == w
 
 
 class TestFromWindingVectorReference:
@@ -336,12 +327,11 @@ class TestFromWindingVectorReference:
                     )
 
     def test_matches_reference_on_invalid_input(self):
-        cases = [((), 3), ((0,), None), ((0, 0), 0), ((0, -1), 0), ((1, 1), -2)]
+        cases = [((), 3), ((0, 0), 0), ((0, -1), 0), ((1, 1), -2)]
         for k in range(1, 5):
             for n in range(1, 4):
                 cases.extend((w, k) for w in product(range(-2, k + 2), repeat=n))
-        wv = WindingVector((0, 1, 1), 2)
-        cases.extend([(wv, None), (wv, 2), (wv, 3), (list(wv.w), 2), ([0, 5, 1], 2)])
+        cases.extend([([0, 1, 1], 2), ([0, 5, 1], 2)])
         for w, k in cases:
             assert _outcome(dosp_from_winding_vector, w, k) == _outcome(
                 _reference_dosp_from_winding_vector, w, k
@@ -372,8 +362,8 @@ class TestBlockInterning:
         # twice what the cache keeps
         _block_of_mask.cache_clear()
         for d in range(13):
-            for wv in enumerate_winding_vectors(2, 13, d):
-                assert dosp_from_winding_vector(wv) == _reference_dosp_from_winding_vector(wv)
+            for w in enumerate_winding_vectors(2, 13, d):
+                assert dosp_from_winding_vector(w, 2) == _reference_dosp_from_winding_vector(w, 2)
         info = _block_of_mask.cache_info()
         assert info.currsize == 4096
         assert info.misses == 8191

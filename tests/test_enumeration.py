@@ -41,7 +41,7 @@ def _recursive_bounded_vectors(length, bound, total):
 
 class TestStream:
     def test_weight_two_vectors(self):
-        got = [wv.w for wv in enumerate_winding_vectors(2, 4, 1)]
+        got = list(enumerate_winding_vectors(2, 4, 1))
         assert got == [
             (0, 0, 1, 1),
             (0, 1, 0, 1),
@@ -52,14 +52,14 @@ class TestStream:
         ]
 
     def test_zero_winding(self):
-        assert [wv.w for wv in enumerate_winding_vectors(2, 4, 0)] == [(0, 0, 0, 0)]
+        assert list(enumerate_winding_vectors(2, 4, 0)) == [(0, 0, 0, 0)]
 
     def test_sum_bound_gives_empty_stream(self):
         assert list(enumerate_winding_vectors(3, 2, 2)) == []
 
     def test_lexicographic_order(self):
         for k, n, d in [(3, 4, 1), (4, 3, 2), (2, 6, 2)]:
-            ws = [wv.w for wv in enumerate_winding_vectors(k, n, d)]
+            ws = list(enumerate_winding_vectors(k, n, d))
             assert ws == sorted(ws)
             assert len(set(ws)) == len(ws)
 

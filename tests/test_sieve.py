@@ -11,7 +11,6 @@ from hstar_lab.coeffcore import restricted_coeff
 from hstar_lab.dosp import (
     Dosp,
     SpotDiagram,
-    WindingVector,
     _gaps_between,
     canonicalize,
     dosp_from_winding_vector,
@@ -19,7 +18,6 @@ from hstar_lab.dosp import (
     parse_dosp,
     r_bad_blocks,
     winding_number,
-    winding_vector,
 )
 from hstar_lab.enumeration import enumerate_winding_vectors, iter_dosps
 from hstar_lab.hstar import count_dosps
@@ -197,12 +195,6 @@ class _PlainDosp:
 
 
 @dataclass(frozen=True)
-class _PlainWindingVector:
-    w: tuple
-    k: int
-
-
-@dataclass(frozen=True)
 class _PlainSecondWindingVector:
     v: tuple
     ground: frozenset
@@ -213,22 +205,20 @@ class _PlainSecondWindingVector:
 # each record class with the unslotted frozen dataclass it replaced
 _PLAIN = {
     Dosp: _PlainDosp,
-    WindingVector: _PlainWindingVector,
     SecondWindingVector: _PlainSecondWindingVector,
 }
 
 
 def _records():
-    """Every partition with k <= 4 and n <= 4, its winding vector, and every
-    second winding vector of those types for r <= 2 and grounds of size <= 2
-    avoiding n, grouped by class."""
+    """Every partition with k <= 4 and n <= 4, and every second winding
+    vector of those types for r <= 2 and grounds of size <= 2 avoiding n,
+    grouped by class."""
     grid = {cls: [] for cls in _PLAIN}
     for k in range(1, 5):
         for n in range(1, 5):
             for d in range(n):
                 for p in dosp_family(k, n, d):
                     grid[Dosp].append(p)
-                    grid[WindingVector].append(winding_vector(p))
                 for r in (1, 2):
                     for m in range(3):
                         for ground in combinations(range(1, n), m):
@@ -311,6 +301,29 @@ class TestSieveTerm:
                         assert sieve_term(k, n, d, r, shifted) == base
 
 
+def _reference_has_increasing_r_packed_gt1(partition, r, ground):
+    """The offset walk from each marked singleton that
+    has_increasing_r_packed_gt1 replaced, kept as the reference for it."""
+    ground = frozenset(ground)
+    m = len(partition.blocks)
+    if m < 2:
+        return False
+    singlet = [len(b) == 1 and min(b) in ground for b in partition.blocks]
+    elt = [min(b) for b in partition.blocks]
+    gaps = partition.gaps
+    for start in range(m):
+        if not singlet[start]:
+            continue
+        for offset in range(1, m):
+            cur = (start + offset - 1) % m
+            nxt = (start + offset) % m
+            if not (singlet[nxt] and gaps[cur] == r and elt[cur] < elt[nxt]):
+                break
+            if gaps[nxt] >= r:
+                return True
+    return False
+
+
 class TestPackedRuns:
     def test_increasing_run_detected(self):
         p = parse_dosp("({1}_2,{2}_2,{3}_2,{4,7,8,9}_1,{5}_2,{6}_2,{10,11,12}_1)", 12, 12)
@@ -346,6 +359,26 @@ class TestPackedRuns:
         # {1} has gap 1 < r = 2, so it is not a valid marked singleton
         with pytest.raises(ValueError, match="gap below"):
             packed_run_partition(parse_dosp("({1}_1,{2,3}_2)", 3, 3), 2, {1})
+
+    def test_matches_offset_walk(self):
+        # every partition with k <= 5 and n <= 6, r <= 3, and every ground of
+        # size <= 3 avoiding n, marked elements in bad singletons or not
+        checked = hits = 0
+        for k in range(1, 6):
+            for n in range(1, 7):
+                grounds = [
+                    frozenset(g) for m in range(4) for g in combinations(range(1, n), m)
+                ]
+                cases = [(r, ground) for r in (1, 2, 3) for ground in grounds]
+                for d in range(n):
+                    for p in dosp_family(k, n, d):
+                        got = [has_increasing_r_packed_gt1(p, r, g) for r, g in cases]
+                        want = [_reference_has_increasing_r_packed_gt1(p, r, g) for r, g in cases]
+                        assert got == want, p
+                        checked += len(got)
+                        hits += sum(got)
+        assert checked == 395_370
+        assert hits == 4_610
 
 
 class TestSpread:
@@ -482,40 +515,40 @@ class TestSecondWindingVector:
         with pytest.raises(ValueError, match="positive"):
             SecondWindingVector((1, 0, 0), frozenset({1}), 4, 4)
 
+    def test_any_sequence_and_ground_build_one_value(self):
+        canonical = SecondWindingVector((1, 1, 1), frozenset({1}), 1, 4)
+        for v, ground in [([1, 1, 1], {1}), ((1, 1, 1), [1]), (iter((1, 1, 1)), (1,))]:
+            built = SecondWindingVector(v, ground, 1, 4)
+            assert type(built.v) is tuple and type(built.ground) is frozenset
+            assert built == canonical and hash(built) == hash(canonical)
+        # fields that already have their stored type are kept, not copied
+        assert SecondWindingVector(canonical.v, canonical.ground, 1, 4).ground is canonical.ground
+
 
 class TestSecondWindingReconstruction:
     def test_worked_reconstruction(self):
-        rebuilt = dosp_from_second_winding_vector(RUNNING_V, 12, 2, {1, 2, 9})
+        rebuilt = dosp_from_second_winding_vector(
+            SecondWindingVector(RUNNING_V, frozenset({1, 2, 9}), 2, 12)
+        )
         assert rebuilt == running_example()
 
     def test_empty_ground_reduces_to_winding_vector(self):
-        for wv in enumerate_winding_vectors(3, 4, 1):
-            direct = dosp_from_winding_vector(wv)
-            via_second = dosp_from_second_winding_vector(wv.w, 3, 1, ())
+        for w in enumerate_winding_vectors(3, 4, 1):
+            direct = dosp_from_winding_vector(w, 3)
+            via_second = dosp_from_second_winding_vector(SecondWindingVector(w, frozenset(), 1, 3))
             assert via_second == direct
 
     def test_rejects_invalid_vectors(self):
+        # the vector is rejected before anything is rebuilt from it
         # marked entry zero
         with pytest.raises(ValueError):
-            dosp_from_second_winding_vector((0, 0, 0), 4, 1, {1})
+            dosp_from_second_winding_vector(SecondWindingVector((0, 0, 0), {1}, 1, 4))
         # unmarked entry at the blue count (must stay below it)
         with pytest.raises(ValueError):
-            dosp_from_second_winding_vector((1, 3, 2), 4, 1, {1})
+            dosp_from_second_winding_vector(SecondWindingVector((1, 3, 2), {1}, 1, 4))
         # sum not a multiple of the blue count
         with pytest.raises(ValueError):
-            dosp_from_second_winding_vector((1, 1, 0), 4, 1, {1})
-
-    def test_rejects_conflicting_ground(self):
-        v = SecondWindingVector((1, 1, 1), frozenset({1}), 1, 4)
-        with pytest.raises(ValueError, match="conflicting parameters"):
-            dosp_from_second_winding_vector(v, ground={2})
-        assert dosp_from_second_winding_vector(v, ground=[1]) == (
-            dosp_from_second_winding_vector(v)
-        )
-
-    def test_requires_parameters_with_plain_sequence(self):
-        with pytest.raises(ValueError, match="required"):
-            dosp_from_second_winding_vector((1, 0, 0))
+            dosp_from_second_winding_vector(SecondWindingVector((1, 1, 0), {1}, 1, 4))
 
     def test_round_trip_exhaustive(self):
         for r in (1, 2):
