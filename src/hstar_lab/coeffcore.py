@@ -13,19 +13,29 @@ with c_0 = 1 and c_m = 0 for m < 0, which is J. C. P. Miller's power
 recurrence Q P' = n Q' P for P = Q**n, Q = (1 - t**a)/(1 - t) (Knuth, TAOCP
 vol. 2, section 4.7).  Every division by j is exact.  The row is a
 palindrome, so only its first half is computed and the second half is its
-mirror image.  Rows are kept in a cache bounded at 256 rows.
+mirror image.  The half runs in two loops, j < a with one term and j >= a
+with all three, so no step tests which terms it has.  Rows are kept in a
+least-recently-used cache bounded by stored size, not by row count: each row
+is charged an upper bound on its bytes, and the oldest rows are evicted once
+the total passes _ROW_CACHE_BYTES.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import permutations
+import math
+from collections import OrderedDict, namedtuple
+from itertools import chain, permutations
 
 __all__ = [
     "restricted_coeff",
     "eulerian",
     "eulerian_by_enumeration",
 ]
+
+# stored-size bound of the _power_row cache, in bytes
+_ROW_CACHE_BYTES = 32 << 20
+
+_RowCacheInfo = namedtuple("_RowCacheInfo", "hits misses currsize nbytes maxbytes")
 
 
 def restricted_coeff(n: int, b: int, a: int) -> int:
@@ -42,29 +52,82 @@ def restricted_coeff(n: int, b: int, a: int) -> int:
     return _power_row(n, a)[b]
 
 
-@lru_cache(maxsize=256)
+_rows: OrderedDict = OrderedDict()  # (n, a) -> (row, charged bytes), oldest first
+_row_stats = [0, 0, 0]  # hits, misses, charged bytes held
+
+
 def _power_row(n: int, a: int) -> tuple[int, ...]:
-    # All coefficients of P = (1 + t + ... + t**(a-1))**n.  With
-    # Q = (1 - t**a)/(1 - t), P = Q**n satisfies Q*P' = n*Q'*P (J. C. P.
+    """All coefficients of (1 + t + ... + t**(a-1))**n, n >= 0 and a >= 1."""
+    key = (n, a)
+    entry = _rows.get(key)
+    if entry is not None:
+        _rows.move_to_end(key)
+        _row_stats[0] += 1
+        return entry[0]
+    _row_stats[1] += 1
+    row = _build_power_row(n, a)
+    # charged bytes, an upper bound: the cache entry and the tuple, plus one
+    # int per entry of the first half (the mirror shares them), none wider
+    # than the middle one (4 bytes per 30-bit digit, 28-byte header, 16-byte
+    # alignment)
+    half = len(row) // 2
+    size = 256 + 8 * len(row) + (half + 1) * (40 + row[half].bit_length() // 30 * 4)
+    _rows[key] = (row, size)
+    _row_stats[2] += size
+    while _row_stats[2] > _ROW_CACHE_BYTES and len(_rows) > 1:
+        _row_stats[2] -= _rows.popitem(last=False)[1][1]
+    return row
+
+
+def _cache_info() -> _RowCacheInfo:
+    hits, misses, nbytes = _row_stats
+    return _RowCacheInfo(hits, misses, len(_rows), nbytes, _ROW_CACHE_BYTES)
+
+
+def _cache_clear() -> None:
+    _rows.clear()
+    _row_stats[:] = [0, 0, 0]
+
+
+_power_row.cache_info = _cache_info
+_power_row.cache_clear = _cache_clear
+
+
+def _build_power_row(n: int, a: int) -> tuple[int, ...]:
+    # With Q = (1 - t**a)/(1 - t), P = Q**n satisfies Q*P' = n*Q'*P (J. C. P.
     # Miller's power recurrence); multiplied through by (1 - t)**2 it reads
     # (1 - t)(1 - t**a) P' = n (1 - a t**(a-1) + (a-1) t**a) P, so that
     #   j c_j = (n+j-1) c_(j-1) - (n a + a - j) c_(j-a) + (top + a + 1 - j) c_(j-a-1)
     # with top = n(a-1) the degree and c_m = 0 for m < 0: O(n a) steps.
-    # The row is a palindrome (c_j = c_(top-j)), so only c_0 .. c_(top//2)
-    # are computed and the rest is mirrored.  The division by j is exact;
-    # a remainder would mean a wrong step, so it raises instead of rounding.
+    # The terms in c_(j-a) and c_(j-a-1) start at j = a, which splits the
+    # half into two loops.  The row is a palindrome (c_j = c_(top-j)), so
+    # only c_0 .. c_(top//2) are computed and the rest is mirrored.  The
+    # division by j is exact; a remainder would mean a wrong step, so it
+    # raises instead of rounding.
     if n == 0 or a == 1:
         return (1,)
     top = n * (a - 1)
     half = top // 2
     c = [1]
-    for j in range(1, half + 1):
-        v = (n + j - 1) * c[j - 1]
-        if j >= a:
-            v -= (n * a + a - j) * c[j - a]
-            if j > a:
-                v += (top + a + 1 - j) * c[j - a - 1]
-        q, rem = divmod(v, j)
+    for j in range(1, min(a - 1, half) + 1):
+        q, rem = divmod((n + j - 1) * c[j - 1], j)
+        if rem:
+            raise AssertionError(f"inexact power-row step at n={n}, a={a}, j={j}")
+        c.append(q)
+    # from j = a on every term is present: the multipliers run as ranges, and
+    # c_(j-a), c_(j-a-1) are read by iterators that trail the growing list,
+    # the second led by c_(-1) = 0; q holds c_(j-1)
+    q = c[-1]
+    steps = zip(
+        range(a, half + 1),
+        range(n + a - 1, n + half),
+        range(n * a, 0, -1),
+        range(top + 1, 0, -1),
+        c,
+        chain((0,), c),
+    )
+    for j, u, w, z, x, y in steps:
+        q, rem = divmod(u * q - w * x + z * y, j)
         if rem:
             raise AssertionError(f"inexact power-row step at n={n}, a={a}, j={j}")
         c.append(q)
@@ -74,23 +137,15 @@ def _power_row(n: int, a: int) -> tuple[int, ...]:
 def eulerian(k: int, n: int) -> int:
     """Number of permutations of {1..n} with exactly k-1 descents.
 
-    Computed by the standard two-term recurrence; the row sums are n!.
+    Computed by the explicit sum A(n, m) = sum_(j <= m) (-1)**j C(n+1, j)
+    (m+1-j)**n (Concrete Mathematics, eq. 6.38) over the fewer of the m = k-1
+    descents and the n-k ascents (the numbers are symmetric); no table of
+    earlier rows is kept.  The row sums are n!.
     """
     if k < 1 or k > n:
         raise ValueError(f"eulerian(k={k}, n={n}) requires 1 <= k <= n")
-    return _descent_row(n)[k - 1]
-
-
-@lru_cache(maxsize=32)
-def _descent_row(n: int) -> tuple[int, ...]:
-    # row[m] counts permutations of {1..n} with m descents.  The rows are
-    # built up from n = 1 in a loop, not by recursion, so neither the stack
-    # nor the bounded cache grows with n.
-    row = [1]
-    for size in range(2, n + 1):
-        padded = [0, *row, 0]
-        row = [(m + 1) * padded[m + 1] + (size - m) * padded[m] for m in range(size)]
-    return tuple(row)
+    m = min(k - 1, n - k)
+    return sum((-1) ** j * math.comb(n + 1, j) * (m + 1 - j) ** n for j in range(m + 1))
 
 
 def eulerian_by_enumeration(k: int, n: int) -> int:

@@ -75,7 +75,9 @@ class Dosp:
         # One whole-tuple test accepts exactly the valid partitions: n block
         # elements whose union is {1..n} cannot repeat or leave that range.
         if (
-            blocks
+            type(blocks) is tuple
+            and type(gaps) is tuple
+            and blocks
             and len(blocks) == len(gaps)
             and min(gaps) >= 1
             and sum(gaps) == self.k
@@ -84,7 +86,10 @@ class Dosp:
             and frozenset().union(*blocks) == _elements(self.n)
         ):
             return
-        # otherwise the itemized checks name the first fault
+        # otherwise the fields are stored as tuples, so equal partitions hash
+        # equal, and the itemized checks name the first fault
+        object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "gaps", tuple(gaps))
         if not self.blocks:
             raise ValueError("at least one block is required")
         if len(self.blocks) != len(self.gaps):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coeffcore import restricted_coeff
+from .coeffcore import _power_row, restricted_coeff
 from .dosp import PolytopeSpec
 
 __all__ = [
@@ -66,19 +66,18 @@ def hstar_closed_form(spec: PolytopeSpec) -> HStarVector:
     """h*-vector by the simplified alternating sum, one entry per winding
     number d = 0..n-1.
 
-    The loop runs over the part bound a = k - r*i outside and over d inside,
-    so each coefficient row is read for every d before the next one is
-    needed, and the bounded row cache never rebuilds a row within a spec.
+    Each part bound a = k - r*i fetches its coefficient row once and reads
+    the degrees a*d - i as one stride, from the first d >= 0 with a*d >= i;
+    degrees past the row's end are zero and the stride stops there.
     """
     n, k, r = spec.n, spec.k, spec.r
     entries = [0] * n
-    i = 0
-    while k - r * i >= 1:
+    for i in range((k - 1) // r + 1):
         a = k - r * i
         weight = (-1) ** i * math.comb(n, i)
-        for d in range(n):
-            entries[d] += weight * restricted_coeff(n, a * d - i, a)
-        i += 1
+        first = -(-i // a)
+        for d, c in zip(range(first, n), _power_row(n, a)[a * first - i :: a]):
+            entries[d] += weight * c
     return HStarVector(tuple(entries), spec)
 
 

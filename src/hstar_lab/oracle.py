@@ -14,6 +14,9 @@ alternating sums that multiply the series by (1 - t)**n.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from itertools import repeat
+from operator import mul
 
 from .dosp import PolytopeSpec
 from .hstar import HStarVector
@@ -58,12 +61,10 @@ def lattice_count(spec: PolytopeSpec, t: int) -> int:
     if t < 0:
         raise ValueError("dilation factor must be nonnegative")
     n = spec.n
-    fast = 0
-    for i in range(n + 1):
-        top = spec.k * t - i * (spec.r * t + 1)
-        if top < 0:
-            break
-        fast += (-1) ** i * math.comb(n, i) * math.comb(top + n - 1, n - 1)
+    # term i reads C(top + n - 1, n - 1), whose upper index falls by r*t + 1
+    # per i; the sum stops before it drops below n - 1, where top < 0
+    uppers = range(spec.k * t + n - 1, n - 2, -(spec.r * t + 1))
+    fast = sum(map(mul, _signed_binomials(n), map(math.comb, uppers, repeat(n - 1))))
     if t * spec.r * n <= _DIRECT_CHECK_BOUND:
         direct = lattice_count_direct(spec, t)
         if direct != fast:
@@ -79,8 +80,12 @@ def hstar_from_oracle(spec: PolytopeSpec) -> HStarVector:
         h*_j = sum_{i=0..j} (-1)**i C(n, i) L(j - i)
     """
     counts = [lattice_count(spec, t) for t in range(spec.n)]
-    entries = tuple(
-        sum((-1) ** i * math.comb(spec.n, i) * counts[j - i] for i in range(j + 1))
-        for j in range(spec.n)
-    )
+    signed = _signed_binomials(spec.n)
+    entries = tuple(sum(map(mul, signed, reversed(counts[: j + 1]))) for j in range(spec.n))
     return HStarVector(entries, spec)
+
+
+@lru_cache(maxsize=64)
+def _signed_binomials(n: int) -> tuple[int, ...]:
+    """(-1)**i C(n, i) for i = 0..n, the coefficients of (1 - t)**n."""
+    return tuple((-1) ** i * math.comb(n, i) for i in range(n + 1))

@@ -1,12 +1,14 @@
 import math
+import sys
 from itertools import accumulate, chain, repeat
 from operator import sub
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hstar_lab import coeffcore
 from hstar_lab.coeffcore import (
-    _descent_row,
+    _ROW_CACHE_BYTES,
     _power_row,
     eulerian,
     eulerian_by_enumeration,
@@ -114,6 +116,67 @@ class TestRestrictedCoeff:
         assert restricted_coeff(n, b, a) == expected
 
 
+class TestRowCache:
+    def test_cache_info_counts_rows(self):
+        _power_row.cache_clear()
+        _power_row(10, 3)
+        _power_row(10, 3)
+        _power_row(12, 4)
+        info = _power_row.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+        assert 0 < info.nbytes <= info.maxbytes == _ROW_CACHE_BYTES
+
+    def test_charge_bounds_the_stored_size(self):
+        # the charge counts the tuple and each distinct int object it holds
+        for n, a in [(2, 2), (7, 3), (40, 20), (60, 31), (120, 60)]:
+            _power_row.cache_clear()
+            row = _power_row(n, a)
+            held = {id(c): c for c in row}.values()
+            stored = sys.getsizeof(row) + sum(map(sys.getsizeof, held))
+            assert stored <= _power_row.cache_info().nbytes, (n, a)
+
+    def test_evicts_least_recently_used_by_size(self, monkeypatch):
+        _power_row.cache_clear()
+        charges = []
+        for key in [(30, 5), (30, 6), (30, 7)]:
+            before = _power_row.cache_info().nbytes
+            _power_row(*key)
+            charges.append(_power_row.cache_info().nbytes - before)
+        _power_row.cache_clear()
+        monkeypatch.setattr(coeffcore, "_ROW_CACHE_BYTES", sum(charges) - 1)
+        _power_row(30, 5)
+        _power_row(30, 6)
+        _power_row(30, 5)  # now (30, 6) is the least recently used row
+        _power_row(30, 7)
+        info = _power_row.cache_info()
+        assert info.currsize == 2 and info.nbytes == charges[0] + charges[2]
+        _power_row(30, 5)
+        _power_row(30, 7)
+        assert _power_row.cache_info().misses == info.misses
+        assert _power_row(30, 6) == tuple(bounded_power(30, 6))
+        assert _power_row.cache_info().misses == info.misses + 1
+
+    @pytest.mark.parametrize("bad_j", [2, 4, 9])
+    def test_inexact_step_raises_in_each_loop(self, monkeypatch, bad_j):
+        # (10, 4) has steps j < 4 in the first loop and j = 4, j > 4 in the
+        # second; a remainder at any of them is reported instead of rounded
+        def divmod_with_remainder(v, j):
+            q, rem = divmod(v, j)
+            return q, rem + (j == bad_j)
+
+        _power_row.cache_clear()
+        monkeypatch.setattr(coeffcore, "divmod", divmod_with_remainder, raising=False)
+        with pytest.raises(AssertionError, match=f"n=10, a=4, j={bad_j}$"):
+            _power_row(10, 4)
+
+    def test_keeps_a_row_larger_than_the_bound(self, monkeypatch):
+        _power_row.cache_clear()
+        monkeypatch.setattr(coeffcore, "_ROW_CACHE_BYTES", 1)
+        _power_row(9, 4)
+        assert _power_row(9, 5) == tuple(bounded_power(9, 5))
+        assert _power_row.cache_info().currsize == 1
+
+
 class TestEulerian:
     def test_single_descent_class(self):
         for n in range(1, 9):
@@ -131,13 +194,20 @@ class TestEulerian:
             for k in range(1, n + 1):
                 assert eulerian(k, n) == eulerian_by_enumeration(k, n)
 
-    def test_long_rows_from_a_cold_bounded_cache(self):
-        # rows far beyond the default recursion limit, built without
-        # recursion, and a cache that cannot grow with n
-        _descent_row.cache_clear()
-        assert eulerian(1, 600) == eulerian(600, 600) == 1
+    def test_cold_value_at_large_n(self):
+        # one value from the explicit sum, with no table of earlier rows:
+        # A(n, 1) = 2**n - n - 1
         assert eulerian(2, 600) == 2**600 - 601
-        assert _descent_row.cache_info().maxsize is not None
+        assert eulerian(599, 600) == 2**600 - 601
+        assert eulerian(1, 600) == eulerian(600, 600) == 1
+
+    def test_matches_descent_recurrence(self):
+        # reference: the two-term recurrence, one row per n
+        row = [1]
+        for n in range(1, 40):
+            assert [eulerian(k, n) for k in range(1, n + 1)] == row, n
+            padded = [0, *row, 0]
+            row = [(m + 1) * padded[m + 1] + (n + 1 - m) * padded[m] for m in range(n + 1)]
 
     @pytest.mark.parametrize("k,n", [(0, 3), (4, 3), (-1, 5)])
     def test_domain_errors(self, k, n):

@@ -454,6 +454,16 @@ class TestDospValidation:
         with pytest.raises(ValueError, match="at least one block"):
             Dosp((), (), 0, 0)
 
+    def test_list_fields_are_stored_as_tuples(self):
+        parsed = parse_dosp("({1,2}_2)", 2, 2)
+        built = Dosp([frozenset({1, 2})], [2], 2, 2)
+        assert (type(built.blocks), type(built.gaps)) == (tuple, tuple)
+        assert built == parsed and hash(built) == hash(parsed)
+
+    def test_list_fields_get_the_same_diagnostics(self):
+        with pytest.raises(ValueError, match="gap labels sum to 3, expected k=2"):
+            Dosp([frozenset({1}), frozenset({2})], [1, 2], 2, 2)
+
     @given(block_gap_tuples())
     def test_matches_itemized_checks(self, parts):
         expected = _reference_dosp_fault(*parts)

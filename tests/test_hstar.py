@@ -1,8 +1,9 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hstar_lab import hstar
+from hstar_lab import coeffcore, hstar
 from hstar_lab.coeffcore import _power_row, eulerian, restricted_coeff
 from hstar_lab.dosp import PolytopeSpec
 from hstar_lab.hstar import (
@@ -12,6 +13,7 @@ from hstar_lab.hstar import (
     hstar_closed_form,
     raw_series_numerator,
 )
+from hstar_lab.oracle import hstar_from_oracle
 
 
 class TestClosedForm:
@@ -53,27 +55,74 @@ class TestClosedForm:
         assert vec.total() == eulerian(12, 24)
 
     def test_builds_each_row_once(self):
-        # one row per part bound a = 30, 29, ..., 1, within the 256-row cache
+        # one row per part bound a = 30, 29, ..., 1, all kept by the
+        # size-bounded row cache
         _power_row.cache_clear()
         hstar_closed_form(PolytopeSpec(1, 30, 60))
         info = _power_row.cache_info()
         assert info.misses == 30
-        assert info.maxsize == 256
+        assert info.currsize == 30
+        assert info.nbytes <= info.maxbytes
+
+    def test_rows_evicted_by_size_leave_entries_unchanged(self, monkeypatch):
+        spec = PolytopeSpec(1, 40, 80)
+        _power_row.cache_clear()
+        expected = hstar_closed_form(spec).entries
+        full = _power_row.cache_info().nbytes
+        _power_row.cache_clear()
+        monkeypatch.setattr(coeffcore, "_ROW_CACHE_BYTES", full // 4)
+        assert hstar_closed_form(spec).entries == expected
+        info = _power_row.cache_info()
+        assert info.misses == 40 and info.currsize < 40
+        assert info.nbytes <= full // 4
 
     def test_reads_each_row_in_one_run(self, monkeypatch):
-        # all reads of one row are consecutive, so a bounded row cache never
-        # rebuilds a row within a spec, however many part bounds it has
+        # one row fetch per part bound, in decreasing order of the bound
         bounds = []
-        original = hstar.restricted_coeff
+        original = hstar._power_row
 
-        def recording(n, b, a):
+        def recording(n, a):
             bounds.append(a)
-            return original(n, b, a)
+            return original(n, a)
 
-        monkeypatch.setattr(hstar, "restricted_coeff", recording)
+        monkeypatch.setattr(hstar, "_power_row", recording)
         hstar_closed_form(PolytopeSpec(2, 9, 5))
-        runs = [a for i, a in enumerate(bounds) if i == 0 or bounds[i - 1] != a]
-        assert runs == [9, 7, 5, 3, 1]
+        assert bounds == [9, 7, 5, 3, 1]
+
+
+def _volume(r, k, n):
+    """Normalized volume of the slice by inclusion-exclusion over the
+    coordinates forced above r, computed here from math alone."""
+    return sum(
+        (-1) ** i * math.comb(n, i) * (k - r * i) ** (n - 1) for i in range(n + 1) if k > r * i
+    )
+
+
+_specs = st.integers(1, 3).flatmap(
+    lambda r: st.integers(2, 80).flatmap(
+        lambda n: st.tuples(st.just(r), st.integers(1, r * n - 1), st.just(n))
+    )
+)
+
+
+class TestIndependentChecks:
+    def test_oracle_volume_and_reflection_sweep(self):
+        for r in (1, 2, 3):
+            for n in range(2, 14):
+                for k in range(1, r * n):
+                    entries = hstar_closed_form(PolytopeSpec(r, k, n)).entries
+                    assert entries == hstar_from_oracle(PolytopeSpec(r, k, n)).entries
+                    assert sum(entries) == _volume(r, k, n), (r, k, n)
+                    assert entries == hstar_closed_form(PolytopeSpec(r, r * n - k, n)).entries
+
+    @settings(max_examples=50, deadline=None)
+    @given(_specs)
+    def test_formula_meets_oracle_volume_and_reflection(self, rkn):
+        r, k, n = rkn
+        formula = hstar_closed_form(PolytopeSpec(r, k, n)).entries
+        assert formula == hstar_from_oracle(PolytopeSpec(r, k, n)).entries
+        assert sum(formula) == _volume(r, k, n)
+        assert formula == hstar_closed_form(PolytopeSpec(r, r * n - k, n)).entries
 
 
 class TestRawNumerator:
