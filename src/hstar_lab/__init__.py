@@ -12,7 +12,6 @@ from .coeffcore import eulerian, eulerian_by_enumeration, restricted_coeff
 from .dosp import (
     Dosp,
     PolytopeSpec,
-    SpotDiagram,
     canonicalize,
     cyclic_shift_elements,
     dosp_from_winding_vector,
@@ -50,7 +49,6 @@ from .sieve import (
     dosps_with_bad_parts,
     enumerate_second_winding_vectors,
     has_increasing_r_packed_gt1,
-    packed_run_partition,
     run_free_family,
     second_winding_vector,
     sieve_term,

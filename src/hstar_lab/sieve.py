@@ -16,23 +16,34 @@ check_prop3 and check_prop4 verify the two collapsing steps of the sieve, and
 sieve_term_closed_form is the resulting closed form, checked by the eq6
 sweep.
 
-The materialized families (dosp_family, and the r-bad block sets of their
-members, kept as a tuple aligned with the family) are cached, at most 256 of
-each, so a long-lived process keeps bounded memory.  Members are slotted
-records that share equal blocks and equal gap tuples, which the spot-mask
-constructor in dosp interns; within one cached entry equal r-bad block sets
-are stored once.
+The materialized families (dosp_family) are cached, at most 256, so a
+long-lived process keeps bounded memory.  Members are slotted records that
+share equal blocks and equal gap tuples, which the spot-mask constructor in
+dosp interns.  Each family is indexed once per r, in a second cache of at
+most 256 entries, by bitmask postings: bit i of a posting stands for the
+i-th member in stream order, and there is one posting per r-bad block (the
+members holding it) and one per packed pair (the members carrying it).  The
+sieve readers AND and clear postings instead of scanning members, and pick
+the members they return by bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from typing import Iterable, Iterator
+from itertools import accumulate, compress
+from operator import add
+from typing import Iterable, Iterator, NamedTuple
 
 from .coeffcore import restricted_coeff
-from .dosp import Dosp, _dosp_from_spot_masks, _element_spots, canonicalize, r_bad_blocks
+from .dosp import (
+    Dosp,
+    _dosp_from_spot_masks,
+    _element_spots,
+    _elements,
+    canonicalize,
+    r_bad_blocks,
+)
 from .enumeration import bounded_vectors, count_r_hypersimplicial, iter_dosps
 
 __all__ = [
@@ -47,7 +58,6 @@ __all__ = [
     "spread_bad_parts",
     "spread_image",
     "run_free_family",
-    "packed_run_partition",
     "chi_by_runs",
     "second_winding_vector",
     "dosp_from_second_winding_vector",
@@ -102,34 +112,71 @@ def dosp_family(k: int, n: int, d: int) -> tuple[Dosp, ...]:
     return tuple(iter_dosps(k, n, d))
 
 
+class _Postings(NamedTuple):
+    """Bitmask postings of one family for one r, bit i standing for the i-th
+    member in stream order: all members, the members holding each r-bad
+    block, and the members carrying each packed pair (e, f) (see
+    _packed_pairs with every singleton marked)."""
+
+    everyone: int
+    by_block: dict[frozenset[int], int]
+    by_pair: dict[tuple[int, int], int]
+
+
 @lru_cache(maxsize=256)
-def _family_with_bad_blocks(k: int, n: int, d: int, r: int):
-    """The set of r-bad blocks of each member of dosp_family(k, n, d), in the
-    same order, with no reference to the members themselves; equal sets are
-    stored once per entry.  The default verify bounds need 240 entries."""
-    shared: dict[frozenset[frozenset[int]], frozenset[frozenset[int]]] = {}
-    bad_sets = (r_bad_blocks(p, r) for p in dosp_family(k, n, d))
-    return tuple([shared.setdefault(bad, bad) for bad in bad_sets])
+def _family_with_bad_blocks(k: int, n: int, d: int, r: int) -> _Postings:
+    """The postings of dosp_family(k, n, d) for r, built in one pass over the
+    family, with no reference to the members themselves.  The default verify
+    bounds need 240 entries."""
+    family = dosp_family(k, n, d)
+    every = _elements(n)
+    by_block: dict[frozenset[int], int] = {}
+    by_pair: dict[tuple[int, int], int] = {}
+    bit = 1
+    for p in family:
+        bad = r_bad_blocks(p, r)
+        for block in bad:
+            by_block[block] = by_block.get(block, 0) | bit
+        # both blocks of a packed pair are r-bad singletons
+        if sum(len(block) == 1 for block in bad) > 1:
+            for pair in _packed_pairs(p, r, every):
+                by_pair[pair] = by_pair.get(pair, 0) | bit
+        bit <<= 1
+    return _Postings(bit - 1, by_block, by_pair)
+
+
+def _holding(postings: _Postings, parts) -> int:
+    """Bitmask of the members whose r-bad blocks contain every given part."""
+    mask = postings.everyone
+    for part in parts:
+        mask &= postings.by_block.get(frozenset(part), 0)
+    return mask
+
+
+# bytes.translate table turning the digits of a mask's binary string into
+# the 0/1 selector bytes that itertools.compress reads
+_SELECTOR = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _members(family: tuple[Dosp, ...], mask: int) -> list[Dosp]:
+    """The members whose bits are set in mask, in stream order."""
+    return list(compress(family, bin(mask)[:1:-1].encode().translate(_SELECTOR)))
 
 
 def dosps_with_bad_parts(k: int, n: int, d: int, r: int, parts) -> list[Dosp]:
     """Partitions of type (k, n) with winding number d whose set of r-bad
     blocks contains every given part as a block, in stream order."""
-    required = frozenset(frozenset(p) for p in parts)
-    bad_sets = _family_with_bad_blocks(k, n, d, r)
-    return [
-        partition
-        for partition, bad in zip(dosp_family(k, n, d), bad_sets, strict=True)
-        if required <= bad
-    ]
+    mask = _holding(_family_with_bad_blocks(k, n, d, r), parts)
+    return _members(dosp_family(k, n, d), mask)
 
 
 def sieve_term(k: int, n: int, d: int, r: int, ground: Iterable[int]) -> int:
     """Signed sum over all set partitions S of the ground set of the number
     of partitions whose r-bad blocks contain S, weighted by (-1)**|S|."""
+    postings = _family_with_bad_blocks(k, n, d, r)
     total = 0
     for parts in unordered_partitions(ground):
-        total += (-1) ** len(parts) * len(dosps_with_bad_parts(k, n, d, r, parts))
+        total += (-1) ** len(parts) * _holding(postings, parts).bit_count()
     return total
 
 
@@ -146,14 +193,7 @@ def has_increasing_r_packed_gt1(partition: Dosp, r: int, ground: Iterable[int]) 
     or more, at gaps exactly r (the final gap at least r) whose elements
     increase along the sequence.  Block indices are cyclic; every starting
     position is scanned."""
-    gaps = partition.gaps
-    _, linked = _packed_links(partition, r, frozenset(ground))
-    # a link whose second block has gap at least r is a run of two, and any
-    # longer run starts with one, since a link's own gap is exactly r
-    for link, gap in zip(linked, gaps[1:] + gaps[:1]):
-        if link and gap >= r:
-            return True
-    return False
+    return bool(_packed_pairs(partition, r, frozenset(ground)))
 
 
 def spread_bad_parts(partition: Dosp, r: int, parts) -> Dosp:
@@ -205,11 +245,12 @@ def run_free_family(k: int, n: int, d: int, r: int, ground: Iterable[int]) -> li
     blocks and which carry no increasing packed run of length greater than 1."""
     ground = frozenset(ground)
     _require_ground(ground, n)
-    return [
-        p
-        for p in dosps_with_bad_parts(k, n, d, r, _singleton_parts(ground))
-        if not has_increasing_r_packed_gt1(p, r, ground)
-    ]
+    postings = _family_with_bad_blocks(k, n, d, r)
+    mask = _holding(postings, _singleton_parts(ground))
+    for (e, f), carriers in postings.by_pair.items():
+        if e in ground and f in ground:
+            mask &= ~carriers
+    return _members(dosp_family(k, n, d), mask)
 
 
 def _packed_links(
@@ -223,6 +264,22 @@ def _packed_links(
     following = marked[1:] + marked[:1]
     linked = [gap == r and 0 < e < f for e, f, gap in zip(marked, following, partition.gaps)]
     return marked, linked
+
+
+def _packed_pairs(
+    partition: Dosp, r: int, ground: frozenset[int]
+) -> list[tuple[int, int]]:
+    """The packed pairs (e, f): marked singleton blocks {e}, {f} where {e}
+    links to {f} and the gap of {f} is at least r.  A pair is a packed run of
+    two, and any longer run starts with one, since a link's own gap is
+    exactly r."""
+    marked, linked = _packed_links(partition, r, ground)
+    gaps = partition.gaps
+    return [
+        (e, f)
+        for e, f, link, gap in zip(marked, marked[1:] + marked[:1], linked, gaps[1:] + gaps[:1])
+        if link and gap >= r
+    ]
 
 
 def _ordered_packed_runs(partition: Dosp, r: int, ground: frozenset[int]) -> list[list[int]]:
@@ -255,14 +312,6 @@ def _ordered_packed_runs(partition: Dosp, r: int, ground: frozenset[int]) -> lis
             run.append(marked[cur])
         runs.append(run)
     return runs
-
-
-def packed_run_partition(partition: Dosp, r: int, ground: Iterable[int]) -> SetPartition:
-    """Partition of the ground set by the maximal increasing packed runs of
-    the given partition."""
-    ground = frozenset(ground)
-    _require_ground(ground, partition.n)
-    return _normalize_parts(_ordered_packed_runs(partition, r, ground))
 
 
 def chi_by_runs(partition: Dosp, r: int, ground: Iterable[int], parts) -> bool:
@@ -341,16 +390,25 @@ def second_winding_vector(partition: Dosp, r: int, ground: Iterable[int]) -> Sec
     k = partition.k
     spots = _element_spots(partition)
     # each marked singleton colors its spot and the r-1 spots after it red;
-    # those are empty exactly when its gap label is at least r
+    # those are empty exactly when its gap label is at least r.  A fault
+    # names the least marked element at fault.
     blue_at = [1] * k
-    for t in sorted(ground):
-        i = next(i for i, block in enumerate(partition.blocks) if t in block)
-        if len(partition.blocks[i]) > 1:
-            raise ValueError(f"marked element {t} is not a singleton block")
-        if partition.gaps[i] < r:
-            raise ValueError(f"singleton block {{{t}}} needs {r - 1} empty spots after it")
-        for off in range(r):
-            blue_at[(spots[t - 1] + off) % k] = 0
+    faults = []
+    q = 0  # spot of the block
+    for block, gap in zip(partition.blocks, partition.gaps):
+        if not ground.isdisjoint(block):
+            if len(block) > 1:
+                t = min(ground & block)
+                faults.append((t, f"marked element {t} is not a singleton block"))
+            elif gap < r:
+                (t,) = block
+                faults.append((t, f"singleton block {{{t}}} needs {r - 1} empty spots after it"))
+            else:
+                # q + gap <= k, so the red spots do not wrap
+                blue_at[q : q + r] = [0] * r
+        q += gap
+    if faults:
+        raise ValueError(min(faults)[1])
     # blue_upto[q]: blue spots among 0..q, so a walk (start, end] passes
     # blue_upto[end] - blue_upto[start] of them, plus all when it wraps
     blue_upto = list(accumulate(blue_at))
@@ -367,8 +425,8 @@ def dosp_from_second_winding_vector(swv: SecondWindingVector) -> Dosp:
     Elements are first placed on a circle of blue spots by walking the
     entries; each marked element of a blue block is then spread clockwise
     behind the rest of its block, largest first, as a singleton followed by
-    r-1 empty spots.  The circle is then turned so that the block holding 1
-    comes first, and the partition is built once, sharing blocks and gap
+    r-1 empty spots.  The expansion is laid out so that the block holding 1
+    sits on spot 0, and the partition is built once, sharing blocks and gap
     tuples like dosp_from_winding_vector.  Inverse of second_winding_vector;
     the bounds on swv are enforced when it is constructed.
     """
@@ -386,25 +444,25 @@ def dosp_from_second_winding_vector(swv: SecondWindingVector) -> Dosp:
     # each blue spot expands to one spot, holding its unmarked elements if
     # any, followed by r spots per marked element, largest first
     marked = sum(1 << (t - 1) for t in swv.ground)
+    unmarked = ~marked
+    # element 1 lies in the expansion of blue spot 0: on its first spot when
+    # unmarked, else behind the larger marked elements there.  The expansion
+    # starts that many spots before spot 0, so that its block sits on spot 0.
+    one = 1 + r * ((on_blue[0] & marked).bit_count() - 1) if marked & 1 else 0
     masks: dict[int, int] = {}
-    pos = 0
+    pos = -one
     for mask in on_blue:
-        if mask & ~marked:
-            masks[pos] = mask & ~marked
+        if mask & unmarked:
+            masks[pos % k] = mask & unmarked
         pos += 1
         mask &= marked
         while mask:
             top = 1 << (mask.bit_length() - 1)
-            masks[pos] = top
+            masks[pos % k] = top
             pos += r
             mask ^= top
-    if pos != k:
+    if pos + one != k:
         raise AssertionError("spot expansion must fill the whole circle")
-    # element 1 lies in the expansion of blue spot 0; turn the circle so
-    # that its block sits on spot 0
-    one = next(q for q, mask in masks.items() if mask & 1)
-    if one:
-        masks = {(q - one) % k: mask for q, mask in masks.items()}
     return _dosp_from_spot_masks(masks, k, n)
 
 
@@ -418,10 +476,9 @@ def enumerate_second_winding_vectors(
     blue = k - r * len(ground)
     if blue < 1:
         return
-    m = len(ground)
-    for shifted in bounded_vectors(n, blue - 1, blue * d - m):
-        v = tuple(x + 1 if i + 1 in ground else x for i, x in enumerate(shifted))
-        yield SecondWindingVector(v, ground, r, k)
+    low = tuple(int(i in ground) for i in range(1, n + 1))  # 1 for a marked element
+    for shifted in bounded_vectors(n, blue - 1, blue * d - len(ground)):
+        yield SecondWindingVector(tuple(map(add, shifted, low)), ground, r, k)
 
 
 def check_prop4(k: int, n: int, d: int, r: int, ground: Iterable[int]) -> bool:

@@ -7,7 +7,6 @@ from hstar_lab import dosp
 from hstar_lab.dosp import (
     Dosp,
     PolytopeSpec,
-    SpotDiagram,
     canonicalize,
     cyclic_shift_elements,
     dosp_from_winding_vector,
@@ -21,6 +20,7 @@ from hstar_lab.dosp import (
     _gaps_between,
 )
 from hstar_lab.enumeration import enumerate_winding_vectors, iter_dosps
+from spot_diagram import SpotDiagram
 
 EX1 = "({1,2,7}_2,{3,5}_3,{4,6}_1)"
 
@@ -459,6 +459,13 @@ class TestDospValidation:
         built = Dosp([frozenset({1, 2})], [2], 2, 2)
         assert (type(built.blocks), type(built.gaps)) == (tuple, tuple)
         assert built == parsed and hash(built) == hash(parsed)
+
+    def test_set_blocks_are_stored_as_frozensets(self):
+        parsed = parse_dosp("({1,2}_2,{3}_1)", 3, 3)
+        for blocks in [({1, 2}, {3}), ({1, 2}, frozenset({3})), [{1, 2}, {3}]]:
+            built = Dosp(blocks, (2, 1), 3, 3)
+            assert all(type(block) is frozenset for block in built.blocks)
+            assert built == parsed and hash(built) == hash(parsed)
 
     def test_list_fields_get_the_same_diagnostics(self):
         with pytest.raises(ValueError, match="gap labels sum to 3, expected k=2"):

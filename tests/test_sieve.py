@@ -3,14 +3,15 @@ import pickle
 import tracemalloc
 from dataclasses import FrozenInstanceError, dataclass, fields
 from itertools import combinations
+from math import comb
 
 import pytest
 
+from hstar_lab import sieve
 from hstar_lab.cli import _SUITES, main
 from hstar_lab.coeffcore import restricted_coeff
 from hstar_lab.dosp import (
     Dosp,
-    SpotDiagram,
     _gaps_between,
     canonicalize,
     dosp_from_winding_vector,
@@ -24,6 +25,8 @@ from hstar_lab.hstar import count_dosps
 from hstar_lab.sieve import (
     SecondWindingVector,
     _family_with_bad_blocks,
+    _normalize_parts,
+    _ordered_packed_runs,
     _require_ground,
     check_prop3,
     check_prop4,
@@ -33,7 +36,6 @@ from hstar_lab.sieve import (
     dosps_with_bad_parts,
     enumerate_second_winding_vectors,
     has_increasing_r_packed_gt1,
-    packed_run_partition,
     run_free_family,
     second_winding_vector,
     sieve_term,
@@ -42,8 +44,17 @@ from hstar_lab.sieve import (
     spread_image,
     unordered_partitions,
 )
+from spot_diagram import SpotDiagram
 
 BELL = [1, 1, 2, 5, 15, 52, 203]
+
+
+def packed_run_partition(partition, r, ground):
+    """Partition of the ground set by the maximal increasing packed runs of
+    the given partition."""
+    ground = frozenset(ground)
+    _require_ground(ground, partition.n)
+    return _normalize_parts(_ordered_packed_runs(partition, r, ground))
 
 
 def singles(ground):
@@ -110,6 +121,46 @@ class TestBadPartFamilies:
                         assert dosps_with_bad_parts(k, n, d, 1, parts) == []
 
 
+class TestMemberScanReferences:
+    def test_readers_match_member_scans(self):
+        # the per-member scans that the postings replaced, with the offset
+        # walk below as the packed-run test: every k <= 6, 2 <= n <= 6,
+        # r <= 3 and d, every ground of at most 3 elements avoiding n, and
+        # every set partition of that ground
+        checked = 0
+        for r in (1, 2, 3):
+            for k in range(1, 7):
+                for n in range(2, 7):
+                    grounds = [
+                        frozenset(g) for m in range(4) for g in combinations(range(1, n), m)
+                    ]
+                    for d in range(n):
+                        family = dosp_family(k, n, d)
+                        bad_sets = [r_bad_blocks(p, r) for p in family]
+
+                        def scan(parts):
+                            required = frozenset(frozenset(part) for part in parts)
+                            return [p for p, bad in zip(family, bad_sets) if required <= bad]
+
+                        for ground in grounds:
+                            term = 0
+                            for parts in unordered_partitions(ground):
+                                members = scan(parts)
+                                assert dosps_with_bad_parts(k, n, d, r, parts) == members
+                                term += (-1) ** len(parts) * len(members)
+                                checked += 1
+                            assert sieve_term(k, n, d, r, ground) == term
+                            assert run_free_family(k, n, d, r, ground) == [
+                                p
+                                for p in scan(singles(ground))
+                                if not _reference_has_increasing_r_packed_gt1(p, r, ground)
+                            ]
+        # r, k, then d and the set partitions of each ground, by size 0..3
+        assert checked == 3 * 6 * sum(
+            n * (1 + (n - 1) + 2 * comb(n - 1, 2) + 5 * comb(n - 1, 3)) for n in range(2, 7)
+        )
+
+
 def _clear_family_caches():
     dosp_family.cache_clear()
     _family_with_bad_blocks.cache_clear()
@@ -125,27 +176,54 @@ class TestFamilyCaches:
                     blocks = [b for p in family for b in p.blocks]
                     assert len({id(b) for b in blocks}) == len(set(blocks))
 
-    def test_bad_block_pairs_with_shared_sets(self):
+    def test_postings_match_each_member(self):
         for r in (1, 2, 3):
             for k in range(1, 6):
                 for n in range(1, 6):
+                    pairs = list(combinations(range(1, n + 1), 2))
                     for d in range(n):
-                        # one set per member, aligned with the family
-                        sets = _family_with_bad_blocks(k, n, d, r)
+                        # bit i of every posting stands for member i
+                        postings = _family_with_bad_blocks(k, n, d, r)
                         family = dosp_family(k, n, d)
-                        assert len(sets) == len(family)
-                        for p, bad in zip(family, sets):
-                            assert bad == r_bad_blocks(p, r)
-                        assert len({id(bad) for bad in sets}) == len(set(sets))
+                        assert postings.everyone == 2 ** len(family) - 1
+                        assert all(postings.by_block.values())
+                        assert all(postings.by_pair.values())
+                        assert set(postings.by_pair) <= set(pairs)
+                        for i, p in enumerate(family):
+                            held = {b for b, mask in postings.by_block.items() if mask >> i & 1}
+                            assert held == r_bad_blocks(p, r)
+                            carried = [
+                                pair for pair in pairs if postings.by_pair.get(pair, 0) >> i & 1
+                            ]
+                            # with the pair as the whole ground, the only
+                            # packed run it can carry is the pair itself
+                            assert carried == [
+                                pair
+                                for pair in pairs
+                                if _reference_has_increasing_r_packed_gt1(p, r, pair)
+                            ]
 
-    def test_verify_builds_each_family_once(self, capsys):
+    def test_verify_builds_each_family_once(self, capsys, monkeypatch):
         _clear_family_caches()
+        reads = []
+
+        def counted(partition, r):
+            reads.append(partition)
+            return r_bad_blocks(partition, r)
+
+        monkeypatch.setattr(sieve, "r_bad_blocks", counted)
         assert main(["verify", "--suite", "eq6"]) == 0
         assert capsys.readouterr().out == "PASS eq6: 3108 cases\n"
         for cached, keys in ((dosp_family, 120), (_family_with_bad_blocks, 240)):
             info = cached.cache_info()
             assert info.maxsize == 256
             assert info.misses == info.currsize == keys
+        # each index reads each member of its family once, and the sieve
+        # terms read no member
+        cases, _, bounds = _SUITES["eq6"]
+        indexed = {(k, n, d, r) for k, n, r, d, _ in cases(*bounds)}
+        assert len(indexed) == 240
+        assert len(reads) == sum(len(dosp_family(k, n, d)) for k, n, d, _ in indexed)
 
     def test_default_bound_families_share_gap_tuples(self):
         for k in range(1, 7):
@@ -166,10 +244,11 @@ class TestFamilyCaches:
         assert len({id(g) for g in gaps}) == len(set(gaps))
 
     def test_default_bound_families_stay_small(self):
-        # every family the default verify bounds build: about 3.1 MB when
-        # members are slotted and share blocks and gap tuples, and the
-        # bad-block sets are stored once each with no pair tuples; about
-        # 6.3 MB with pairs and a gap tuple and __dict__ per member, and
+        # every family the default verify bounds build, with its postings for
+        # r = 1 and 2: about 2.4 MB, of which the postings take about 0.3 MB,
+        # when members are slotted and share blocks and gap tuples; about
+        # 3.1 MB with one r-bad block set per member in place of postings,
+        # about 6.3 MB with a gap tuple and __dict__ per member as well, and
         # about 24 MB with nothing shared
         _clear_family_caches()
         tracemalloc.start()
