@@ -39,7 +39,6 @@ from .hstar import (
 )
 from .oracle import hstar_from_oracle, lattice_count, lattice_count_direct
 from .sieve import (
-    SecondWindingVector,
     SetPartition,
     check_prop3,
     check_prop4,

@@ -201,7 +201,7 @@ def _check_prop4(k, n, r, d, ground) -> bool:
 
 
 def _check_prop5(k, n, r, d, ground) -> bool:
-    ground = frozenset(ground)  # one set shared by every vector built below
+    ground = frozenset(ground)  # one set shared by every check below
     members = run_free_family(k, n, d, r, ground)
     vectors = list(enumerate_second_winding_vectors(k, n, d, r, ground))
     if len(members) != len(vectors):
@@ -209,7 +209,7 @@ def _check_prop5(k, n, r, d, ground) -> bool:
     seen = set()
     for p in members:
         v = second_winding_vector(p, r, ground)
-        if dosp_from_second_winding_vector(v) != p:
+        if dosp_from_second_winding_vector(v, k, r, ground) != p:
             return False
         seen.add(v)
     return seen == set(vectors)
@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hstar.add_argument("--n", type=int, required=True, help="ambient dimension")
     p_hstar.add_argument(
         "--method",
-        choices=["formula", "enum", "oracle", "all"],
+        choices=[*_METHODS, "all"],
         default="all",
         help="computation route; all compares the three",
     )

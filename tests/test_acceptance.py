@@ -86,9 +86,9 @@ def test_criterion_3_golden_fixtures():
         "({2}_2,{1}_2,{5,6}_1,{7,8}_1,{9}_3,{11,12,13}_1,{10,14}_1,{3,4}_1)", 12, 14
     )
     second = second_winding_vector(example8, 2, {1, 2, 9})
-    if second.v != (6, 6, 0, 1, 0, 1, 0, 0, 3, 5, 0, 0, 1, 1):
-        failures.append(("second winding vector", second.v))
-    if dosp_from_second_winding_vector(second) != example8:
+    if second != (6, 6, 0, 1, 0, 1, 0, 0, 3, 5, 0, 0, 1, 1):
+        failures.append(("second winding vector", second))
+    if dosp_from_second_winding_vector(second, 12, 2, {1, 2, 9}) != example8:
         failures.append(("second winding reconstruction",))
 
     table = {
@@ -177,7 +177,7 @@ def test_criterion_5_bijection_round_trips():
                             forward = set()
                             for p in members:
                                 v = second_winding_vector(p, r, ground)
-                                if dosp_from_second_winding_vector(v) != p:
+                                if dosp_from_second_winding_vector(v, k, r, ground) != p:
                                     failures.append(("prop5 inverse", k, n, d, r, p))
                                 forward.add(v)
                             if forward != set(vectors):

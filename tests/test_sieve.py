@@ -23,10 +23,9 @@ from hstar_lab.dosp import (
 from hstar_lab.enumeration import enumerate_winding_vectors, iter_dosps
 from hstar_lab.hstar import count_dosps
 from hstar_lab.sieve import (
-    SecondWindingVector,
+    _check_second_winding_vector,
     _family_with_bad_blocks,
     _normalize_parts,
-    _ordered_packed_runs,
     _require_ground,
     check_prop3,
     check_prop4,
@@ -49,12 +48,66 @@ from spot_diagram import SpotDiagram
 BELL = [1, 1, 2, 5, 15, 52, 203]
 
 
+def _ordered_packed_runs(partition, r, ground):
+    """Maximal increasing packed runs of marked singleton blocks, each as the
+    list of its elements in circle order (which is increasing), read by
+    following links: block i links to block i+1 (cyclic) when both are
+    marked singletons, the gap at i is exactly r and the elements increase.
+    Every marked element, required to be a singleton block, lies in exactly
+    one run.  The reference for chi_by_runs and has_increasing_r_packed_gt1,
+    which read packed pairs instead."""
+    m = len(partition.blocks)
+    marked = [min(b) if len(b) == 1 and b <= ground else 0 for b in partition.blocks]
+    following = marked[1:] + marked[:1]
+    linked = [gap == r and 0 < e < f for e, f, gap in zip(marked, following, partition.gaps)]
+    placed = {e for e in marked if e}
+    if placed != ground:
+        missing = sorted(ground - placed)
+        raise ValueError(f"marked elements {missing} are not singleton blocks")
+    for e, gap in zip(marked, partition.gaps):
+        # every marked singleton must be r-bad, so runs always end on a gap
+        # of at least r
+        if e and gap < r:
+            raise ValueError(f"marked singleton block {{{e}}} has gap below {r}")
+    runs = []
+    for i, e in enumerate(marked):
+        if not e:
+            continue
+        if linked[i - 1]:
+            continue  # not the head of a run
+        run = [e]
+        cur = i
+        while linked[cur]:
+            cur = (cur + 1) % m
+            if cur == i:
+                break  # full cycle is impossible while n stays unmarked
+            run.append(marked[cur])
+        runs.append(run)
+    return runs
+
+
 def packed_run_partition(partition, r, ground):
     """Partition of the ground set by the maximal increasing packed runs of
     the given partition."""
     ground = frozenset(ground)
     _require_ground(ground, partition.n)
     return _normalize_parts(_ordered_packed_runs(partition, r, ground))
+
+
+def _reference_chi_by_runs(partition, r, ground, parts):
+    """Whether each part is a contiguous stretch of one run of
+    _ordered_packed_runs: the reference for chi_by_runs."""
+    runs = _ordered_packed_runs(partition, r, frozenset(ground))
+    run_of = {e: run for run in runs for e in run}
+    for part in parts:
+        elems = sorted(part)
+        run = run_of.get(elems[0])
+        if run is None:
+            return False
+        idx = run.index(elems[0])
+        if run[idx : idx + len(elems)] != elems:
+            return False
+    return True
 
 
 def singles(ground):
@@ -237,7 +290,7 @@ class TestFamilyCaches:
         _gaps_between.cache_clear()
         cases, _, bounds = _SUITES["prop5"]
         gaps = [
-            dosp_from_second_winding_vector(v).gaps
+            dosp_from_second_winding_vector(v, k, r, ground).gaps
             for k, n, r, d, ground in cases(*bounds)
             for v in enumerate_second_winding_vectors(k, n, d, r, ground)
         ]
@@ -273,37 +326,17 @@ class _PlainDosp:
     n: int
 
 
-@dataclass(frozen=True)
-class _PlainSecondWindingVector:
-    v: tuple
-    ground: frozenset
-    r: int
-    k: int
-
-
 # each record class with the unslotted frozen dataclass it replaced
-_PLAIN = {
-    Dosp: _PlainDosp,
-    SecondWindingVector: _PlainSecondWindingVector,
-}
+_PLAIN = {Dosp: _PlainDosp}
 
 
 def _records():
-    """Every partition with k <= 4 and n <= 4, and every second winding
-    vector of those types for r <= 2 and grounds of size <= 2 avoiding n,
-    grouped by class."""
+    """Every partition with k <= 4 and n <= 4, grouped by class."""
     grid = {cls: [] for cls in _PLAIN}
     for k in range(1, 5):
         for n in range(1, 5):
             for d in range(n):
-                for p in dosp_family(k, n, d):
-                    grid[Dosp].append(p)
-                for r in (1, 2):
-                    for m in range(3):
-                        for ground in combinations(range(1, n), m):
-                            grid[SecondWindingVector].extend(
-                                enumerate_second_winding_vectors(k, n, d, r, ground)
-                            )
+                grid[Dosp].extend(dosp_family(k, n, d))
     return grid
 
 
@@ -526,6 +559,41 @@ class TestChiEquivalence:
         assert not chi_by_runs(p, 1, ground, (frozenset({1, 3}), frozenset({2})))
         assert p not in spread_image(4, 5, 1, 1, (frozenset({1, 3}), frozenset({2})))
 
+    def test_rejects_marked_elements_outside_bad_singletons(self):
+        # a marked element outside a singleton block is named before a gap
+        # below r, here that of {3}
+        p = parse_dosp("({1,2}_1,{3}_1)", 2, 3)
+        with pytest.raises(ValueError) as info:
+            chi_by_runs(p, 2, {1, 3}, (frozenset({1}), frozenset({3})))
+        assert str(info.value) == "marked elements [1] are not singleton blocks"
+        q = parse_dosp("({1}_1,{2,3}_2)", 3, 3)
+        with pytest.raises(ValueError) as info:
+            chi_by_runs(q, 2, {1}, (frozenset({1}),))
+        assert str(info.value) == "marked singleton block {1} has gap below 2"
+
+    def test_matches_run_reference(self):
+        # every partition with k <= 5 and n <= 5, r <= 3, every ground of
+        # size <= 3 avoiding n and every set partition of it, valid or
+        # rejected: values and error messages
+        checked = hits = 0
+        for k in range(1, 6):
+            for n in range(1, 6):
+                cases = [
+                    (r, frozenset(g), parts)
+                    for r in (1, 2, 3)
+                    for m in range(4)
+                    for g in combinations(range(1, n), m)
+                    for parts in unordered_partitions(g)
+                ]
+                for d in range(n):
+                    for p in dosp_family(k, n, d):
+                        for r, ground, parts in cases:
+                            got = _outcome(chi_by_runs, p, r, ground, parts)
+                            assert got == _outcome(_reference_chi_by_runs, p, r, ground, parts)
+                            checked += 1
+                            hits += got is True
+        assert (checked, hits) == (119_724, 7_994)
+
 
 class TestRunFreeFamily:
     def test_empty_ground_is_whole_family(self):
@@ -559,9 +627,9 @@ class TestRunFreeFamily:
 class TestSecondWindingVector:
     def test_worked_example(self):
         v = second_winding_vector(running_example(), 2, {1, 2, 9})
-        assert v.v == RUNNING_V
-        assert v.blue_count() == 6
-        assert v.winding_number() == 4
+        assert v == RUNNING_V
+        # 12 - 2*3 = 6 blue spots, winding number 4
+        assert sum(v) == 6 * 4
 
     def test_marked_entries_never_zero(self):
         for k, n, r in [(4, 4, 1), (5, 4, 1), (6, 4, 2)]:
@@ -571,8 +639,9 @@ class TestSecondWindingVector:
                         ground = frozenset(ground_tuple)
                         for p in run_free_family(k, n, d, r, ground):
                             v = second_winding_vector(p, r, ground)
-                            assert all(v.v[t - 1] >= 1 for t in ground)
-                            assert sum(v.v) == (k - r * m) * d
+                            assert type(v) is tuple
+                            assert all(v[t - 1] >= 1 for t in ground)
+                            assert sum(v) == (k - r * m) * d
 
     def test_rejects_non_singleton_marked_element(self):
         p = parse_dosp("({1,2}_2,{3}_1,{4,5}_1)", 4, 5)
@@ -584,50 +653,57 @@ class TestSecondWindingVector:
         with pytest.raises(ValueError, match="empty spots"):
             second_winding_vector(p, 2, {1})
 
+    def test_rejects_packed_pair_of_consecutive_elements(self):
+        # {1}, {2} is a packed pair, so 1 and 2 share a blue spot and the
+        # marked entry v_1 reads 0
+        p = parse_dosp("({1}_1,{2}_1,{3,4}_2)", 4, 4)
+        with pytest.raises(ValueError) as info:
+            second_winding_vector(p, 1, {1, 2})
+        assert str(info.value) == "entry v_1=0 outside 1..2 for a marked element"
+
     def test_invariant_validation(self):
         with pytest.raises(ValueError, match="marked"):
-            SecondWindingVector((0, 0, 0), frozenset({1}), 1, 4)
+            dosp_from_second_winding_vector((0, 0, 0), 4, 1, frozenset({1}))
         with pytest.raises(ValueError, match="outside"):
-            SecondWindingVector((5, 0, 0), frozenset({1}), 1, 4)
+            dosp_from_second_winding_vector((5, 0, 0), 4, 1, frozenset({1}))
         with pytest.raises(ValueError, match="multiple"):
-            SecondWindingVector((1, 1, 0), frozenset({1}), 1, 4)
+            dosp_from_second_winding_vector((1, 1, 0), 4, 1, frozenset({1}))
         with pytest.raises(ValueError, match="positive"):
-            SecondWindingVector((1, 0, 0), frozenset({1}), 4, 4)
+            dosp_from_second_winding_vector((1, 0, 0), 4, 4, frozenset({1}))
+        with pytest.raises(ValueError, match="nonempty"):
+            dosp_from_second_winding_vector((), 4, 1, frozenset())
+        with pytest.raises(ValueError, match="must not contain 3"):
+            dosp_from_second_winding_vector((1, 1, 1), 4, 1, frozenset({3}))
 
     def test_any_sequence_and_ground_build_one_value(self):
-        canonical = SecondWindingVector((1, 1, 1), frozenset({1}), 1, 4)
+        canonical = dosp_from_second_winding_vector((1, 1, 1), 4, 1, frozenset({1}))
         for v, ground in [([1, 1, 1], {1}), ((1, 1, 1), [1]), (iter((1, 1, 1)), (1,))]:
-            built = SecondWindingVector(v, ground, 1, 4)
-            assert type(built.v) is tuple and type(built.ground) is frozenset
+            built = dosp_from_second_winding_vector(v, 4, 1, ground)
             assert built == canonical and hash(built) == hash(canonical)
-        # fields that already have their stored type are kept, not copied
-        assert SecondWindingVector(canonical.v, canonical.ground, 1, 4).ground is canonical.ground
 
 
 class TestSecondWindingReconstruction:
     def test_worked_reconstruction(self):
-        rebuilt = dosp_from_second_winding_vector(
-            SecondWindingVector(RUNNING_V, frozenset({1, 2, 9}), 2, 12)
-        )
+        rebuilt = dosp_from_second_winding_vector(RUNNING_V, 12, 2, frozenset({1, 2, 9}))
         assert rebuilt == running_example()
 
     def test_empty_ground_reduces_to_winding_vector(self):
         for w in enumerate_winding_vectors(3, 4, 1):
             direct = dosp_from_winding_vector(w, 3)
-            via_second = dosp_from_second_winding_vector(SecondWindingVector(w, frozenset(), 1, 3))
+            via_second = dosp_from_second_winding_vector(w, 3, 1, frozenset())
             assert via_second == direct
 
     def test_rejects_invalid_vectors(self):
         # the vector is rejected before anything is rebuilt from it
         # marked entry zero
         with pytest.raises(ValueError):
-            dosp_from_second_winding_vector(SecondWindingVector((0, 0, 0), {1}, 1, 4))
+            dosp_from_second_winding_vector((0, 0, 0), 4, 1, {1})
         # unmarked entry at the blue count (must stay below it)
         with pytest.raises(ValueError):
-            dosp_from_second_winding_vector(SecondWindingVector((1, 3, 2), {1}, 1, 4))
+            dosp_from_second_winding_vector((1, 3, 2), 4, 1, {1})
         # sum not a multiple of the blue count
         with pytest.raises(ValueError):
-            dosp_from_second_winding_vector(SecondWindingVector((1, 1, 0), {1}, 1, 4))
+            dosp_from_second_winding_vector((1, 1, 0), 4, 1, {1})
 
     def test_round_trip_exhaustive(self):
         for r in (1, 2):
@@ -645,13 +721,14 @@ class TestSecondWindingReconstruction:
                                 forward = set()
                                 for p in members:
                                     v = second_winding_vector(p, r, ground)
-                                    assert dosp_from_second_winding_vector(v) == p
+                                    assert dosp_from_second_winding_vector(v, k, r, ground) == p
                                     forward.add(v)
                                 assert forward == set(vectors)
 
 
 def _reference_second_winding_vector(partition, r, ground):
-    """The per-spot walk that second_winding_vector replaced."""
+    """The per-spot walk that second_winding_vector replaced, followed by
+    the same bounds check."""
     ground = frozenset(ground)
     _require_ground(ground, partition.n)
     diagram = SpotDiagram.from_dosp(partition)
@@ -671,38 +748,40 @@ def _reference_second_winding_vector(partition, r, ground):
             continue
         dist = (end - start) % k
         v.append(sum(1 for s in range(1, dist + 1) if (start + s) % k not in red))
-    return SecondWindingVector(tuple(v), ground, r, k)
+    v = tuple(v)
+    _check_second_winding_vector(v, k, r, ground)
+    return v
 
 
-def _reference_dosp_from_second_winding_vector(swv):
+def _reference_dosp_from_second_winding_vector(v, k, r, ground):
     """The spot-layout expansion that dosp_from_second_winding_vector
-    replaced."""
-    n = len(swv.v)
-    blue = swv.blue_count()
+    replaced, for a vector in bounds."""
+    n = len(v)
+    blue = k - r * len(ground)
     spots = [[] for _ in range(blue)]
     q = 0
     spots[0].append(1)
     for i in range(1, n):
-        q = (q + swv.v[i - 1]) % blue
+        q = (q + v[i - 1]) % blue
         spots[q].append(i + 1)
     layout = []
     for q in range(blue):
         content = set(spots[q])
-        marked = sorted(content & swv.ground)
-        rest = content - swv.ground
+        marked = sorted(content & ground)
+        rest = content - ground
         layout.append(frozenset(rest) if rest else None)
         for t in reversed(marked):
             layout.append(frozenset((t,)))
-            layout.extend([None] * (swv.r - 1))
-    if len(layout) != swv.k:
+            layout.extend([None] * (r - 1))
+    if len(layout) != k:
         raise AssertionError("spot expansion must fill the whole circle")
     occupied = [s for s, block in enumerate(layout) if block is not None]
     blocks = tuple(layout[s] for s in occupied)
     gaps = []
     for idx, s in enumerate(occupied):
         nxt = occupied[(idx + 1) % len(occupied)]
-        gaps.append((nxt - s) % swv.k or swv.k)
-    return canonicalize(Dosp(blocks, tuple(gaps), swv.k, n))
+        gaps.append((nxt - s) % k or k)
+    return canonicalize(Dosp(blocks, tuple(gaps), k, n))
 
 
 def _outcome(fn, *args):
@@ -728,8 +807,8 @@ class TestSecondWindingReferences:
                                         _outcome(_reference_second_winding_vector, p, r, ground)
                                     ), (p, r, ground)
                                 for v in enumerate_second_winding_vectors(k, n, d, r, ground):
-                                    assert dosp_from_second_winding_vector(v) == (
-                                        _reference_dosp_from_second_winding_vector(v)
+                                    assert dosp_from_second_winding_vector(v, k, r, ground) == (
+                                        _reference_dosp_from_second_winding_vector(v, k, r, ground)
                                     ), v
 
 
