@@ -12,7 +12,6 @@ from .coeffcore import eulerian, eulerian_by_enumeration, restricted_coeff
 from .dosp import (
     Dosp,
     PolytopeSpec,
-    canonicalize,
     cyclic_shift_elements,
     dosp_from_winding_vector,
     format_dosp,

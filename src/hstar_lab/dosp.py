@@ -3,8 +3,8 @@
 A decorated ordered set partition of type (k, n) is an ordered partition of
 {1..n} into blocks placed clockwise on a circle, together with positive gap
 labels summing to k; the label of a block is the clockwise distance to the
-next block.  Rotating the block list does not change the object, and the
-canonical rotation stores the block containing 1 first.
+next block.  Rotating the block list does not change the object, so a Dosp
+stores the canonical rotation, with the block containing 1 first.
 
 The winding vector of a partition, a plain tuple, records for each i the
 clockwise distance from the block of i to the block of i+1 (indices cyclic in
@@ -26,7 +26,6 @@ __all__ = [
     "Dosp",
     "parse_dosp",
     "format_dosp",
-    "canonicalize",
     "winding_vector",
     "winding_number",
     "dosp_from_winding_vector",
@@ -39,13 +38,15 @@ __all__ = [
 @dataclass(frozen=True)
 class PolytopeSpec:
     """The slice of the cube [0, r]**n at coordinate sum k; r = 1 gives the
-    hypersimplex.  Requires 0 < k < r*n so the slice has dimension n - 1."""
+    hypersimplex.  Requires ints with 0 < k < r*n so the slice has dimension n - 1."""
 
     r: int
     k: int
     n: int
 
     def __post_init__(self):
+        if type(self.r) is not int or type(self.k) is not int or type(self.n) is not int:
+            raise TypeError("r, k and n must be integers")
         if self.r < 1:
             raise ValueError("coordinate cap r must be at least 1")
         if self.n < 2:
@@ -58,10 +59,8 @@ class PolytopeSpec:
 class Dosp:
     """Ordered blocks partitioning {1..n} with positive gap labels summing to k.
 
-    Instances may be held in any rotation; canonicalize() fixes the unique
-    representative with the block containing 1 first.  Constructors in this
-    package (parse_dosp, dosp_from_winding_vector) always return canonical
-    values.
+    Blocks and gaps may be given in any rotation; the canonical one, with the
+    block containing 1 first, is stored, so one partition is one value.
     """
 
     blocks: tuple[frozenset[int], ...]
@@ -89,10 +88,12 @@ class Dosp:
             except TypeError:
                 pass  # plain set blocks, stored as frozensets below
             else:
+                if 1 not in blocks[0]:
+                    self._store_from_one(blocks, gaps)
                 return
         # otherwise the itemized checks name the first fault, and the fields
-        # are stored as a tuple of frozensets and a tuple, so equal partitions
-        # hash equal
+        # are stored canonical, as a tuple of frozensets and a tuple, so
+        # equal partitions hash equal
         object.__setattr__(self, "blocks", tuple(blocks))
         object.__setattr__(self, "gaps", tuple(gaps))
         if not self.blocks:
@@ -118,25 +119,16 @@ class Dosp:
         if len(seen) != self.n:
             missing = sorted(set(range(1, self.n + 1)) - seen)
             raise ValueError(f"missing elements {missing}")
-        object.__setattr__(self, "blocks", tuple(map(frozenset, self.blocks)))
+        self._store_from_one(tuple(map(frozenset, self.blocks)), self.gaps)
+
+    def _store_from_one(self, blocks, gaps) -> None:
+        """Store blocks and gaps rotated so that the block holding 1 is first."""
+        i = next(i for i, block in enumerate(blocks) if 1 in block)
+        object.__setattr__(self, "blocks", blocks[i:] + blocks[:i])
+        object.__setattr__(self, "gaps", gaps[i:] + gaps[:i])
 
     def __str__(self) -> str:
         return format_dosp(self)
-
-
-def canonicalize(partition: Dosp) -> Dosp:
-    """Rotation of the block list that stores the block containing 1 first.
-    Idempotent, and constant on each rotation class."""
-    blocks = partition.blocks
-    i = next(idx for idx, block in enumerate(blocks) if 1 in block)
-    if i == 0:
-        return partition
-    return Dosp(
-        blocks[i:] + blocks[:i],
-        partition.gaps[i:] + partition.gaps[:i],
-        partition.k,
-        partition.n,
-    )
 
 
 def format_dosp(partition: Dosp) -> str:
@@ -171,7 +163,7 @@ def parse_dosp(text: str, k: int, n: int) -> Dosp:
             raise ValueError(f"duplicate element {dup}")
         blocks.append(frozenset(elems))
         gaps.append(int(gap))
-    return canonicalize(Dosp(tuple(blocks), tuple(gaps), k, n))
+    return Dosp(tuple(blocks), tuple(gaps), k, n)
 
 
 def winding_vector(partition: Dosp) -> tuple[int, ...]:
@@ -266,23 +258,23 @@ def dosp_from_winding_vector(w: Iterable[int], k: int) -> Dosp:
 def _dosp_from_spot_masks(masks: dict[int, int], k: int, n: int) -> Dosp:
     """The partition of type (k, n) with one block on each spot of masks,
     holding the elements set in that spot's bitmask (bit e-1 standing for
-    element e).  Element 1 must sit on spot 0, so that the block list, read
-    clockwise from spot 0, comes out canonical.  Blocks come from
-    _block_of_mask and gaps from _gaps_between, so equal blocks and equal gap
-    tuples are shared between the partitions built here."""
+    element e).  Blocks come from _block_of_mask and gaps from _gaps_between,
+    so equal blocks and equal gap tuples are shared between the partitions
+    built here.  The gap tuple is shared only when element 1 sits on spot 0:
+    otherwise Dosp stores a rotated copy of it."""
     occupied = tuple(sorted(masks))
     blocks = tuple([_block_of_mask(masks[q]) for q in occupied])
     return Dosp(blocks, _gaps_between(occupied, k), k, n)
 
 
 def cyclic_shift_elements(partition: Dosp, s: int) -> Dosp:
-    """Relabel each element e as ((e-1+s) mod n)+1, keeping blocks and gaps;
-    the result is recanonicalized.  Preserves the winding number."""
+    """Relabel each element e as ((e-1+s) mod n)+1, keeping blocks and gaps.
+    Preserves the winding number."""
     n = partition.n
     if not 0 <= s < n:
         raise ValueError(f"shift must lie in 0..{n - 1}")
     blocks = tuple(frozenset((e - 1 + s) % n + 1 for e in block) for block in partition.blocks)
-    return canonicalize(Dosp(blocks, partition.gaps, partition.k, n))
+    return Dosp(blocks, partition.gaps, partition.k, n)
 
 
 def r_bad_blocks(partition: Dosp, r: int) -> frozenset[frozenset[int]]:

@@ -30,7 +30,9 @@ __all__ = [
 
 def bounded_vectors(length: int, bound: int, total: int) -> Iterator[tuple[int, ...]]:
     """All integer vectors of the given length with entries in 0..bound and
-    the given entry sum, in lexicographic order."""
+    the given entry sum, in lexicographic order; all three must be ints."""
+    if type(length) is not int or type(bound) is not int or type(total) is not int:
+        raise TypeError("length, bound and total must be integers")
     if length < 0 or bound < 0:
         raise ValueError("length and bound must be nonnegative")
     if total < 0 or total > length * bound:

@@ -43,13 +43,14 @@ class HStarVector:
     """Entries h*_0 .. h*_{n-1} of the Ehrhart series numerator of a slice.
 
     Entries are nonnegative integers with h*_0 = 1; their sum is the
-    normalized volume of the slice.
+    normalized volume of the slice.  Any sequence is stored as a tuple.
     """
 
     entries: tuple[int, ...]
     spec: PolytopeSpec
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(self.entries))
         if len(self.entries) != self.spec.n:
             raise ValueError("one entry per degree 0..n-1 is required")
         if any(e < 0 for e in self.entries):
@@ -78,7 +79,7 @@ def hstar_closed_form(spec: PolytopeSpec) -> HStarVector:
         first = -(-i // a)
         for d, c in zip(range(first, n), _power_row(n, a)[a * first - i :: a]):
             entries[d] += weight * c
-    return HStarVector(tuple(entries), spec)
+    return HStarVector(entries, spec)
 
 
 def raw_series_numerator(spec: PolytopeSpec) -> tuple[int, ...]:

@@ -42,7 +42,6 @@ from .dosp import (
     _dosp_from_spot_masks,
     _element_spots,
     _elements,
-    canonicalize,
     r_bad_blocks,
 )
 from .enumeration import bounded_vectors, count_r_hypersimplicial, iter_dosps
@@ -228,7 +227,7 @@ def spread_bad_parts(partition: Dosp, r: int, parts) -> Dosp:
     if found != required:
         missing = sorted(next(iter(required - found)))
         raise ValueError(f"part {missing} is not a block of the partition")
-    return canonicalize(Dosp(tuple(new_blocks), tuple(new_gaps), partition.k, partition.n))
+    return Dosp(tuple(new_blocks), tuple(new_gaps), partition.k, partition.n)
 
 
 def spread_image(k: int, n: int, d: int, r: int, parts) -> frozenset[Dosp]:
@@ -303,7 +302,8 @@ def _check_second_winding_vector(v: tuple[int, ...], k: int, r: int, ground: fro
     """Raise ValueError unless v is a second winding vector for circle size
     k, r and the marked ground set, and return its blue spot count
     k - r*|ground|: marked entries lie in 1..blue, the others in 0..blue-1,
-    and the entry sum is blue times the winding number."""
+    and the entry sum is blue times the winding number.  Raise TypeError,
+    before any walk, unless v, k and r are ints (blue is an int when k, r are)."""
     if not v:
         raise ValueError("vector must be nonempty")
     _require_ground(ground, len(v))
@@ -316,8 +316,11 @@ def _check_second_winding_vector(v: tuple[int, ...], k: int, r: int, ground: fro
                 raise ValueError(f"entry v_{i}={vi} outside 1..{blue} for a marked element")
         elif not 0 <= vi <= blue - 1:
             raise ValueError(f"entry v_{i}={vi} outside 0..{blue - 1}")
-    if sum(v) % blue:
+    total = sum(v)
+    if total % blue:
         raise ValueError("entries must sum to a multiple of the blue spot count")
+    if type(total) is not int or type(blue) is not int:
+        raise TypeError("second winding entries, k and r must be integers")
     return blue
 
 
@@ -331,6 +334,8 @@ def second_winding_vector(partition: Dosp, r: int, ground: Iterable[int]) -> tup
     the r-1 empty trailing spots, or when the vector read off breaks the
     second-winding bounds, as a zero entry for a marked element does.
     """
+    if type(r) is not int:
+        raise TypeError("r must be an integer")
     ground = frozenset(ground)
     _require_ground(ground, partition.n)
     k = partition.k
@@ -378,11 +383,11 @@ def dosp_from_second_winding_vector(
     Elements are first placed on a circle of blue spots by walking the
     entries; each marked element of a blue block is then spread clockwise
     behind the rest of its block, largest first, as a singleton followed by
-    r-1 empty spots.  The expansion is laid out so that the block holding 1
-    sits on spot 0, and the partition is built once, sharing blocks and gap
-    tuples like dosp_from_winding_vector.  Inverse of second_winding_vector;
-    v may be any sequence and ground any iterable, and ValueError is raised
-    when they break the second-winding bounds, before anything is rebuilt.
+    r-1 empty spots, laid out with the block holding 1 on spot 0 only so that
+    Dosp keeps the interned gap tuple, not a rotated copy.  Inverse of
+    second_winding_vector; v may be any sequence and ground any iterable.
+    ValueError or TypeError is raised, before any walk, when they break the
+    second-winding bounds or v, k or r is not integer.
     """
     v = tuple(v)
     ground = frozenset(ground)
@@ -401,8 +406,8 @@ def dosp_from_second_winding_vector(
     marked = sum(1 << (t - 1) for t in ground)
     unmarked = ~marked
     # element 1 lies in the expansion of blue spot 0: on its first spot when
-    # unmarked, else behind the larger marked elements there.  The expansion
-    # starts that many spots before spot 0, so that its block sits on spot 0.
+    # unmarked, else behind the larger marked elements there.  Starting that
+    # many spots before spot 0 puts its block there, so Dosp keeps the gaps.
     one = 1 + r * ((on_blue[0] & marked).bit_count() - 1) if marked & 1 else 0
     masks: dict[int, int] = {}
     pos = -one

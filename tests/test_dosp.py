@@ -7,7 +7,6 @@ from hstar_lab import dosp
 from hstar_lab.dosp import (
     Dosp,
     PolytopeSpec,
-    canonicalize,
     cyclic_shift_elements,
     dosp_from_winding_vector,
     format_dosp,
@@ -149,6 +148,11 @@ class TestPolytopeSpec:
     @pytest.mark.parametrize("r,k,n", [(0, 1, 3), (1, 0, 3), (1, 3, 3), (1, 2, 1), (2, 8, 4)])
     def test_invalid(self, r, k, n):
         with pytest.raises(ValueError):
+            PolytopeSpec(r, k, n)
+
+    @pytest.mark.parametrize("r,k,n", [(1, 2.0, 4), (1.0, 2, 4), (1, 2, 4.0)])
+    def test_rejects_non_integer_fields(self, r, k, n):
+        with pytest.raises(TypeError, match="^r, k and n must be integers$"):
             PolytopeSpec(r, k, n)
 
 
@@ -410,7 +414,12 @@ class TestCyclicShift:
         assert winding_number(cyclic_shift_elements(p, s)) == winding_number(p)
 
 
-class TestCanonicalize:
+def _rotated(blocks, gaps, shift):
+    """The block and gap sequences rotated left by shift places."""
+    return blocks[shift:] + blocks[:shift], gaps[shift:] + gaps[:shift]
+
+
+class TestCanonicalConstruction:
     def test_rotates_block_with_one_first(self):
         rotated = Dosp(
             (frozenset({3, 5}), frozenset({4, 6}), frozenset({1, 2, 7})),
@@ -418,27 +427,33 @@ class TestCanonicalize:
             6,
             7,
         )
-        assert canonicalize(rotated) == ex1()
+        assert rotated == ex1()
+        assert rotated.blocks == ex1().blocks and rotated.gaps == (2, 3, 1)
 
-    def test_identity_on_canonical(self):
-        assert canonicalize(ex1()) == ex1()
+    def test_rotations_are_one_set_member(self):
+        rotated = Dosp(*_rotated(ex1().blocks, ex1().gaps, 1), 6, 7)
+        assert len({parse_dosp(EX1, 6, 7), rotated}) == 1
 
-    def test_idempotent_exhaustive(self):
+    def test_every_rotation_builds_one_value(self):
         for k in range(1, 4):
             for n in range(1, 5):
                 for d in range(n):
                     for p in iter_dosps(k, n, d):
-                        assert canonicalize(p) == p
-                        # every rotation lands on the same representative
-                        m = len(p.blocks)
-                        for shift in range(m):
-                            rotated = Dosp(
-                                p.blocks[shift:] + p.blocks[:shift],
-                                p.gaps[shift:] + p.gaps[:shift],
-                                p.k,
-                                p.n,
-                            )
-                            assert canonicalize(rotated) == p
+                        for shift in range(len(p.blocks)):
+                            built = Dosp(*_rotated(p.blocks, p.gaps, shift), k, n)
+                            assert built == p and hash(built) == hash(p)
+                            assert (built.blocks, built.gaps) == (p.blocks, p.gaps)
+                            assert format_dosp(built) == format_dosp(p)
+
+    def test_itemized_path_rotates_too(self):
+        # plain set blocks and list fields take the itemized checks
+        for blocks, gaps in [
+            ([{3, 5}, {4, 6}, {1, 2, 7}], [3, 1, 2]),
+            (({4, 6}, {1, 2, 7}, {3, 5}), (1, 2, 3)),
+        ]:
+            built = Dosp(blocks, gaps, 6, 7)
+            assert built == ex1() and hash(built) == hash(ex1())
+            assert (built.blocks, built.gaps) == (ex1().blocks, ex1().gaps)
 
 
 class TestDospValidation:
@@ -475,7 +490,11 @@ class TestDospValidation:
     def test_matches_itemized_checks(self, parts):
         expected = _reference_dosp_fault(*parts)
         if expected is None:
-            assert Dosp(*parts).blocks == parts[0]
+            # a valid partition is stored from the block holding 1
+            blocks, gaps = parts[:2]
+            shift = next(i for i, block in enumerate(blocks) if 1 in block)
+            built = Dosp(*parts)
+            assert (built.blocks, built.gaps) == _rotated(blocks, gaps, shift)
         else:
             with pytest.raises(ValueError) as excinfo:
                 Dosp(*parts)

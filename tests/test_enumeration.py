@@ -83,6 +83,11 @@ class TestStream:
                         _recursive_bounded_vectors(length, bound, total)
                     )
 
+    @pytest.mark.parametrize("length,bound,total", [(3, 2.0, 4), (3.0, 2, 4), (3, 2, 4.0)])
+    def test_bounded_vectors_reject_non_integer_sizes(self, length, bound, total):
+        with pytest.raises(TypeError, match="^length, bound and total must be integers$"):
+            list(bounded_vectors(length, bound, total))
+
     def test_bounded_vectors_reject_negative_sizes(self):
         for length, bound in [(-1, 2), (2, -1)]:
             with pytest.raises(ValueError, match="nonnegative"):

@@ -206,6 +206,12 @@ class TestHStarVector:
     def test_total(self):
         assert hstar_closed_form(PolytopeSpec(1, 2, 4)).total() == 4
 
+    def test_any_sequence_is_one_value(self):
+        spec = PolytopeSpec(1, 2, 4)
+        built = HStarVector([1, 2, 1, 0], spec)
+        assert type(built.entries) is tuple
+        assert built == hstar_closed_form(spec) and hash(built) == hash(hstar_closed_form(spec))
+
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             HStarVector((1, 0), PolytopeSpec(1, 2, 4))

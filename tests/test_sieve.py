@@ -13,7 +13,6 @@ from hstar_lab.coeffcore import restricted_coeff
 from hstar_lab.dosp import (
     Dosp,
     _gaps_between,
-    canonicalize,
     dosp_from_winding_vector,
     format_dosp,
     parse_dosp,
@@ -675,6 +674,20 @@ class TestSecondWindingVector:
         with pytest.raises(ValueError, match="must not contain 3"):
             dosp_from_second_winding_vector((1, 1, 1), 4, 1, frozenset({3}))
 
+    @pytest.mark.parametrize(
+        "v,k,r", [((1.0, 1, 1), 4, 1), ((1, 1, 1), 4.0, 1), ((1, 1, 1), 4, 1.0)]
+    )
+    def test_rejects_non_integer_input(self, v, k, r):
+        with pytest.raises(TypeError, match="^second winding entries, k and r must be integers$"):
+            dosp_from_second_winding_vector(v, k, r, {1})
+        with pytest.raises(TypeError, match="^second winding entries, k and r must be integers$"):
+            _check_second_winding_vector(v, k, r, frozenset({1}))
+
+    def test_rejects_non_integer_r_before_the_walk(self):
+        p = parse_dosp("({1}_2,{2,3}_1,{4}_1)", 4, 4)
+        with pytest.raises(TypeError, match="^r must be an integer$"):
+            second_winding_vector(p, 1.0, {1})
+
     def test_any_sequence_and_ground_build_one_value(self):
         canonical = dosp_from_second_winding_vector((1, 1, 1), 4, 1, frozenset({1}))
         for v, ground in [([1, 1, 1], {1}), ((1, 1, 1), [1]), (iter((1, 1, 1)), (1,))]:
@@ -704,6 +717,10 @@ class TestSecondWindingReconstruction:
         # sum not a multiple of the blue count
         with pytest.raises(ValueError):
             dosp_from_second_winding_vector((1, 1, 0), 4, 1, {1})
+
+    def test_stream_rejects_non_integer_k(self):
+        with pytest.raises(TypeError, match="must be integers"):
+            list(enumerate_second_winding_vectors(4.0, 3, 1, 1, {1}))
 
     def test_round_trip_exhaustive(self):
         for r in (1, 2):
@@ -781,7 +798,7 @@ def _reference_dosp_from_second_winding_vector(v, k, r, ground):
     for idx, s in enumerate(occupied):
         nxt = occupied[(idx + 1) % len(occupied)]
         gaps.append((nxt - s) % k or k)
-    return canonicalize(Dosp(blocks, tuple(gaps), k, n))
+    return Dosp(blocks, tuple(gaps), k, n)
 
 
 def _outcome(fn, *args):
