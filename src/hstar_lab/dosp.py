@@ -70,27 +70,27 @@ class Dosp:
 
     def __post_init__(self):
         blocks, gaps = self.blocks, self.gaps
-        # One whole-tuple test accepts exactly the valid partitions: n block
-        # elements whose union is {1..n} cannot repeat or leave that range.
+        if type(self.k) is not int or type(self.n) is not int:
+            raise TypeError("k and n must be integers")
+        # One whole-tuple test accepts exactly the valid frozenset-block,
+        # int-gap partitions: n block elements whose union is {1..n} cannot
+        # repeat or leave that range.
         if (
             type(blocks) is tuple
             and type(gaps) is tuple
             and blocks
             and len(blocks) == len(gaps)
+            and operator.countOf(map(type, gaps), int) == len(gaps)
             and min(gaps) >= 1
             and sum(gaps) == self.k
+            and operator.countOf(map(type, blocks), frozenset) == len(blocks)
             and all(blocks)
             and sum(map(len, blocks)) == self.n
-            and frozenset().union(*blocks) == _elements(self.n)
+            and frozenset().union(*blocks) == _block_of_mask((1 << self.n) - 1)
         ):
-            try:
-                hash(blocks)
-            except TypeError:
-                pass  # plain set blocks, stored as frozensets below
-            else:
-                if 1 not in blocks[0]:
-                    self._store_from_one(blocks, gaps)
-                return
+            if 1 not in blocks[0]:
+                self._store_from_one(blocks, gaps)
+            return
         # otherwise the itemized checks name the first fault, and the fields
         # are stored canonical, as a tuple of frozensets and a tuple, so
         # equal partitions hash equal
@@ -105,6 +105,8 @@ class Dosp:
         for block, gap in zip(self.blocks, self.gaps):
             if not block:
                 raise ValueError("blocks must be nonempty")
+            if type(gap) is not int:
+                raise TypeError(f"gap label {gap!r} is not an integer")
             if gap < 1:
                 raise ValueError(f"nonpositive gap label {gap}")
             total += gap
@@ -195,12 +197,6 @@ def winding_number(partition: Dosp) -> int:
     return total // partition.k
 
 
-@lru_cache(maxsize=64)
-def _elements(n: int) -> frozenset[int]:
-    """{1..n}, built once per n for Dosp's acceptance test."""
-    return frozenset(range(1, n + 1))
-
-
 @lru_cache(maxsize=4096)
 def _gaps_between(occupied: tuple[int, ...], k: int) -> tuple[int, ...]:
     """Gap labels of the blocks on the given occupied spots, listed in
@@ -216,8 +212,9 @@ def _gaps_between(occupied: tuple[int, ...], k: int) -> tuple[int, ...]:
 @lru_cache(maxsize=4096)
 def _block_of_mask(mask: int) -> frozenset[int]:
     """The block whose elements are the set bits of mask, bit e-1 standing
-    for element e.  Cached, so that equal blocks built anywhere in the
-    process are one shared object for as long as the entry is kept."""
+    for element e; (1 << n) - 1 gives {1..n}, for Dosp's acceptance test and
+    the sieve.  Cached, so that equal blocks built anywhere in the process
+    are one shared object for as long as the entry is kept."""
     return frozenset(e for e in range(1, mask.bit_length() + 1) if mask >> (e - 1) & 1)
 
 
@@ -225,10 +222,9 @@ def dosp_from_winding_vector(w: Iterable[int], k: int) -> Dosp:
     """The unique partition of type (k, len(w)), returned canonical, whose
     winding vector is w.
 
-    Entries must lie in 0..k-1 and sum to a multiple of k; the circle is
-    walked clockwise, placing 1 on spot 0 and each next element w_i spots
-    further.  Equal blocks and equal gap tuples are shared between the
-    partitions built here (see _dosp_from_spot_masks).
+    Entries must lie in 0..k-1 and sum to a multiple of k; _walk places 1 on
+    spot 0 and each next element w_i spots further, and its spot-mask list
+    goes to _dosp_from_spot_masks, which shares equal blocks and gap tuples.
     """
     w = tuple(w)
     n = len(w)
@@ -240,29 +236,35 @@ def dosp_from_winding_vector(w: Iterable[int], k: int) -> Dosp:
     total = sum(w)
     if total % k:
         raise ValueError(f"winding entries sum to {total}, not a multiple of k={k}")
-    # float entries or a float k pass the checks above but must not reach the
-    # walk, which would give float spots and gaps
-    if not isinstance(total, int) or not isinstance(k, int):
+    # float entries or a float or bool k pass the checks above but must not
+    # reach the walk, which would give float spots and gaps
+    if type(total) is not int or type(k) is not int:
         raise TypeError("winding entries and k must be integers")
-    # spot -> bitmask of the elements on it, bit e-1 standing for element e
-    masks: dict[int, int] = {}
-    bit = 1
+    return _dosp_from_spot_masks(_walk(w, k), k, n)
+
+
+def _walk(steps: Iterable[int], size: int) -> list[int]:
+    """The bitmask of the elements on each of size spots round a circle,
+    listed by spot, bit e-1 standing for element e: element 1 sits on spot
+    0 and each next element steps[i] spots further clockwise."""
+    masks = [0] * size
     q = 0
-    for wi in w:
-        masks[q] = masks.get(q, 0) | bit
-        q = (q + wi) % k
+    bit = 1
+    for step in steps:
+        masks[q] |= bit
+        q = (q + step) % size
         bit <<= 1
-    return _dosp_from_spot_masks(masks, k, n)
+    return masks
 
 
-def _dosp_from_spot_masks(masks: dict[int, int], k: int, n: int) -> Dosp:
-    """The partition of type (k, n) with one block on each spot of masks,
-    holding the elements set in that spot's bitmask (bit e-1 standing for
-    element e).  Blocks come from _block_of_mask and gaps from _gaps_between,
-    so equal blocks and equal gap tuples are shared between the partitions
-    built here.  The gap tuple is shared only when element 1 sits on spot 0:
-    otherwise Dosp stores a rotated copy of it."""
-    occupied = tuple(sorted(masks))
+def _dosp_from_spot_masks(masks: list[int], k: int, n: int) -> Dosp:
+    """The partition of type (k, n) with one block on each nonzero spot mask
+    of the list masks, indexed by spot as _walk returns it, holding the
+    elements set in that mask.  Blocks come from _block_of_mask and gaps
+    from _gaps_between, so equal blocks and equal gap tuples are shared
+    between the partitions built here; the gap tuple only when element 1
+    sits on spot 0, as otherwise Dosp stores a rotated copy of it."""
+    occupied = tuple([q for q in range(k) if masks[q]])
     blocks = tuple([_block_of_mask(masks[q]) for q in occupied])
     return Dosp(blocks, _gaps_between(occupied, k), k, n)
 

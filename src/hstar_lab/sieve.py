@@ -39,9 +39,10 @@ from typing import Iterable, Iterator, NamedTuple
 from .coeffcore import restricted_coeff
 from .dosp import (
     Dosp,
+    _block_of_mask,
     _dosp_from_spot_masks,
     _element_spots,
-    _elements,
+    _walk,
     r_bad_blocks,
 )
 from .enumeration import bounded_vectors, count_r_hypersimplicial, iter_dosps
@@ -131,7 +132,7 @@ def _family_with_bad_blocks(k: int, n: int, d: int, r: int) -> _Postings:
     instead, verify --suite all ran 8 % slower (1.98 against 1.83 s, slower
     in 9 of 10 alternated runs; Python 3.11.7, 2 cores)."""
     family = dosp_family(k, n, d)
-    every = _elements(n)
+    every = _block_of_mask((1 << n) - 1)
     by_block: dict[frozenset[int], int] = {}
     by_pair: dict[tuple[int, int], int] = {}
     bit = 1
@@ -380,11 +381,11 @@ def dosp_from_second_winding_vector(
     """The unique run-free partition of circle size k whose second winding
     vector for r and the marked ground set is v.
 
-    Elements are first placed on a circle of blue spots by walking the
-    entries; each marked element of a blue block is then spread clockwise
-    behind the rest of its block, largest first, as a singleton followed by
-    r-1 empty spots, laid out with the block holding 1 on spot 0 only so that
-    Dosp keeps the interned gap tuple, not a rotated copy.  Inverse of
+    _walk places the elements on a circle of blue spots; each marked element
+    of a blue block is then spread clockwise behind the rest of its block,
+    largest first, as a singleton followed by r-1 empty spots, into the
+    spot-mask list for _dosp_from_spot_masks, laid out with the block holding
+    1 on spot 0 only so that Dosp keeps the interned gap tuple.  Inverse of
     second_winding_vector; v may be any sequence and ground any iterable.
     ValueError or TypeError is raised, before any walk, when they break the
     second-winding bounds or v, k or r is not integer.
@@ -392,15 +393,7 @@ def dosp_from_second_winding_vector(
     v = tuple(v)
     ground = frozenset(ground)
     blue = _check_second_winding_vector(v, k, r, ground)
-    # blue spot -> bitmask of the elements on it, bit e-1 standing for
-    # element e: 1 on blue spot 0 and each next element v_i blue spots further
-    on_blue = [0] * blue
-    q = 0
-    bit = 1
-    for vi in v:
-        on_blue[q] |= bit
-        q = (q + vi) % blue
-        bit <<= 1
+    on_blue = _walk(v, blue)
     # each blue spot expands to one spot, holding its unmarked elements if
     # any, followed by r spots per marked element, largest first
     marked = sum(1 << (t - 1) for t in ground)
@@ -409,7 +402,7 @@ def dosp_from_second_winding_vector(
     # unmarked, else behind the larger marked elements there.  Starting that
     # many spots before spot 0 puts its block there, so Dosp keeps the gaps.
     one = 1 + r * ((on_blue[0] & marked).bit_count() - 1) if marked & 1 else 0
-    masks: dict[int, int] = {}
+    masks = [0] * k
     pos = -one
     for mask in on_blue:
         if mask & unmarked:
@@ -477,7 +470,7 @@ def check_prop3(k: int, n: int, r: int, d: int) -> bool:
     from n, which leaves their term unchanged."""
     total = 0
     for mask in range(2**n):
-        ground = frozenset(t for t in range(1, n + 1) if mask >> (t - 1) & 1)
+        ground = _block_of_mask(mask)
         if n in ground and len(ground) < n:
             ground = _shift_avoiding_top(ground, n)
         total += sieve_term(k, n, d, r, ground)

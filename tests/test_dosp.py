@@ -343,7 +343,7 @@ class TestFromWindingVectorReference:
 
 
     def test_rejects_non_integer_input(self):
-        for w, k in [((0.0, 1.0, 1.0), 2), ((0, 1, 1), 2.0)]:
+        for w, k in [((0.0, 1.0, 1.0), 2), ((0, 1, 1), 2.0), ((0, 0), True)]:
             with pytest.raises(TypeError):
                 dosp_from_winding_vector(w, k)
             with pytest.raises(TypeError):
@@ -481,6 +481,19 @@ class TestDospValidation:
             built = Dosp(blocks, (2, 1), 3, 3)
             assert all(type(block) is frozenset for block in built.blocks)
             assert built == parsed and hash(built) == hash(parsed)
+
+    def test_tuple_blocks_are_stored_as_frozensets(self):
+        parsed = parse_dosp("({1,2}_1,{3}_1)", 2, 3)
+        built = Dosp(((3,), (1, 2)), (1, 1), 2, 3)
+        assert all(type(block) is frozenset for block in built.blocks)
+        assert built == parsed and len({built, parsed}) == 1
+
+    def test_non_integer_k_n_or_gap_label_rejected(self):
+        cases = [((2.0,), 2.0, 1), ((2.0,), 2, 1), ((True,), 1, 1), ((1,), True, 1), ((2,), 2, 2.0)]
+        for gaps, k, n in cases:
+            for blocks in [(frozenset({1}),), [{1}]]:
+                with pytest.raises(TypeError, match="integer"):
+                    Dosp(blocks, gaps, k, n)
 
     def test_list_fields_get_the_same_diagnostics(self):
         with pytest.raises(ValueError, match="gap labels sum to 3, expected k=2"):

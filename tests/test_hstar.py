@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,6 +99,22 @@ def _volume(r, k, n):
     )
 
 
+def _nan_li_hstar(k, n):
+    """h* of the hypersimplex (r = 1) by Nan Li's recurrence (Discrete
+    Comput. Geom. 48, 2012): the half-open hypersimplex counts the w in
+    S_(n-1) with k-1 excedances by descents, and the closed one adds
+    (1-z) h*(Delta_(k-1,n-1)), with h*(Delta_(1,m)) = 1.  Brute force over
+    permutations, from math alone."""
+    if k == 1:
+        return (1,) + (0,) * (n - 1)
+    half_open = [0] * n
+    for w in permutations(range(1, n)):
+        if sum(w[i] > i + 1 for i in range(n - 1)) == k - 1:
+            half_open[sum(a > b for a, b in zip(w, w[1:]))] += 1
+    lower = _nan_li_hstar(k - 1, n - 1)
+    return tuple(h + a - b for h, a, b in zip(half_open, (*lower, 0), (0, *lower)))
+
+
 _specs = st.integers(1, 3).flatmap(
     lambda r: st.integers(2, 80).flatmap(
         lambda n: st.tuples(st.just(r), st.integers(1, r * n - 1), st.just(n))
@@ -114,6 +131,13 @@ class TestIndependentChecks:
                     assert entries == hstar_from_oracle(PolytopeSpec(r, k, n)).entries
                     assert sum(entries) == _volume(r, k, n), (r, k, n)
                     assert entries == hstar_closed_form(PolytopeSpec(r, r * n - k, n)).entries
+
+    def test_nan_li_recurrence_at_r_1(self):
+        for n in range(2, 9):
+            for k in range(1, n):
+                entries = _nan_li_hstar(k, n)
+                assert entries == hstar_closed_form(PolytopeSpec(1, k, n)).entries, (k, n)
+                assert entries == hstar_from_oracle(PolytopeSpec(1, k, n)).entries, (k, n)
 
     @settings(max_examples=50, deadline=None)
     @given(_specs)
