@@ -41,7 +41,6 @@ from .sieve import (
     SetPartition,
     check_prop3,
     check_prop4,
-    chi_by_runs,
     dosp_family,
     dosp_from_second_winding_vector,
     dosps_with_bad_parts,

@@ -59,8 +59,11 @@ class PolytopeSpec:
 class Dosp:
     """Ordered blocks partitioning {1..n} with positive gap labels summing to k.
 
+    Dosp(...) checks its input item by item and names the first fault.
     Blocks and gaps may be given in any rotation; the canonical one, with the
-    block containing 1 first, is stored, so one partition is one value.
+    block containing 1 first, is stored, so one partition is one value.  Only
+    _dosp_from_spot_masks, whose partitions are valid by construction, stores
+    the fields without these checks.
     """
 
     blocks: tuple[frozenset[int], ...]
@@ -69,40 +72,16 @@ class Dosp:
     n: int
 
     def __post_init__(self):
-        blocks, gaps = self.blocks, self.gaps
         if type(self.k) is not int or type(self.n) is not int:
             raise TypeError("k and n must be integers")
-        # One whole-tuple test accepts exactly the valid frozenset-block,
-        # int-gap partitions: n block elements whose union is {1..n} cannot
-        # repeat or leave that range.
-        if (
-            type(blocks) is tuple
-            and type(gaps) is tuple
-            and blocks
-            and len(blocks) == len(gaps)
-            and operator.countOf(map(type, gaps), int) == len(gaps)
-            and min(gaps) >= 1
-            and sum(gaps) == self.k
-            and operator.countOf(map(type, blocks), frozenset) == len(blocks)
-            and all(blocks)
-            and sum(map(len, blocks)) == self.n
-            and frozenset().union(*blocks) == _block_of_mask((1 << self.n) - 1)
-        ):
-            if 1 not in blocks[0]:
-                self._store_from_one(blocks, gaps)
-            return
-        # otherwise the itemized checks name the first fault, and the fields
-        # are stored canonical, as a tuple of frozensets and a tuple, so
-        # equal partitions hash equal
-        object.__setattr__(self, "blocks", tuple(blocks))
-        object.__setattr__(self, "gaps", tuple(gaps))
-        if not self.blocks:
+        blocks, gaps = tuple(self.blocks), tuple(self.gaps)
+        if not blocks:
             raise ValueError("at least one block is required")
-        if len(self.blocks) != len(self.gaps):
+        if len(blocks) != len(gaps):
             raise ValueError("blocks and gap labels must have equal length")
         seen: set[int] = set()
         total = 0
-        for block, gap in zip(self.blocks, self.gaps):
+        for block, gap in zip(blocks, gaps):
             if not block:
                 raise ValueError("blocks must be nonempty")
             if type(gap) is not int:
@@ -111,6 +90,8 @@ class Dosp:
                 raise ValueError(f"nonpositive gap label {gap}")
             total += gap
             for e in block:
+                if type(e) is not int:
+                    raise TypeError(f"element {e!r} is not an integer")
                 if e in seen:
                     raise ValueError(f"duplicate element {e}")
                 if not 1 <= e <= self.n:
@@ -121,10 +102,9 @@ class Dosp:
         if len(seen) != self.n:
             missing = sorted(set(range(1, self.n + 1)) - seen)
             raise ValueError(f"missing elements {missing}")
-        self._store_from_one(tuple(map(frozenset, self.blocks)), self.gaps)
-
-    def _store_from_one(self, blocks, gaps) -> None:
-        """Store blocks and gaps rotated so that the block holding 1 is first."""
+        # stored canonical, as a tuple of frozensets from the block holding 1
+        # and a tuple of gaps, so equal partitions hash equal
+        blocks = tuple(map(frozenset, blocks))
         i = next(i for i, block in enumerate(blocks) if 1 in block)
         object.__setattr__(self, "blocks", blocks[i:] + blocks[:i])
         object.__setattr__(self, "gaps", gaps[i:] + gaps[:i])
@@ -212,9 +192,9 @@ def _gaps_between(occupied: tuple[int, ...], k: int) -> tuple[int, ...]:
 @lru_cache(maxsize=4096)
 def _block_of_mask(mask: int) -> frozenset[int]:
     """The block whose elements are the set bits of mask, bit e-1 standing
-    for element e; (1 << n) - 1 gives {1..n}, for Dosp's acceptance test and
-    the sieve.  Cached, so that equal blocks built anywhere in the process
-    are one shared object for as long as the entry is kept."""
+    for element e; (1 << n) - 1 gives {1..n}, for the sieve.  Cached, so that
+    equal blocks built anywhere in the process are one shared object for as
+    long as the entry is kept."""
     return frozenset(e for e in range(1, mask.bit_length() + 1) if mask >> (e - 1) & 1)
 
 
@@ -260,13 +240,20 @@ def _walk(steps: Iterable[int], size: int) -> list[int]:
 def _dosp_from_spot_masks(masks: list[int], k: int, n: int) -> Dosp:
     """The partition of type (k, n) with one block on each nonzero spot mask
     of the list masks, indexed by spot as _walk returns it, holding the
-    elements set in that mask.  Blocks come from _block_of_mask and gaps
-    from _gaps_between, so equal blocks and equal gap tuples are shared
-    between the partitions built here; the gap tuple only when element 1
-    sits on spot 0, as otherwise Dosp stores a rotated copy of it."""
+    elements set in that mask.  Element 1 must sit on spot 0, so the blocks
+    come in the canonical rotation; the partition is valid by construction
+    and its fields are stored without Dosp's checks.  Blocks come from
+    _block_of_mask and gaps from _gaps_between, so equal blocks and equal
+    gap tuples are shared between the partitions built here."""
+    if not masks[0] & 1:
+        raise AssertionError("element 1 must sit on spot 0")
     occupied = tuple([q for q in range(k) if masks[q]])
-    blocks = tuple([_block_of_mask(masks[q]) for q in occupied])
-    return Dosp(blocks, _gaps_between(occupied, k), k, n)
+    partition = object.__new__(Dosp)
+    object.__setattr__(partition, "blocks", tuple([_block_of_mask(masks[q]) for q in occupied]))
+    object.__setattr__(partition, "gaps", _gaps_between(occupied, k))
+    object.__setattr__(partition, "k", k)
+    object.__setattr__(partition, "n", n)
+    return partition
 
 
 def cyclic_shift_elements(partition: Dosp, s: int) -> Dosp:

@@ -26,7 +26,9 @@ most 256 entries, by bitmask postings: bit i of a posting stands for the
 i-th member in stream order, and there is one posting per r-bad block (the
 members holding it) and one per packed pair (the members carrying it).  The
 sieve readers AND and clear postings instead of scanning members, and pick
-the members they return by bit.
+the members they return by bit.  Family members and rebuilt partitions are
+valid by construction, so they are stored without Dosp's checks; only the
+spread of spread_bad_parts goes through the checked constructor.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ __all__ = [
     "spread_bad_parts",
     "spread_image",
     "run_free_family",
-    "chi_by_runs",
     "second_winding_vector",
     "dosp_from_second_winding_vector",
     "enumerate_second_winding_vectors",
@@ -196,7 +197,9 @@ def has_increasing_r_packed_gt1(partition: Dosp, r: int, ground: Iterable[int]) 
     or more, at gaps exactly r (the final gap at least r) whose elements
     increase along the sequence.  Block indices are cyclic; every starting
     position is scanned."""
-    return bool(_packed_pairs(partition, r, frozenset(ground)))
+    ground = frozenset(ground)
+    _require_ground(ground, partition.n)
+    return bool(_packed_pairs(partition, r, ground))
 
 
 def spread_bad_parts(partition: Dosp, r: int, parts) -> Dosp:
@@ -204,6 +207,8 @@ def spread_bad_parts(partition: Dosp, r: int, parts) -> Dosp:
     elements in increasing order as consecutive singleton blocks: the first
     ones at gap exactly r, the last keeping the remainder of the original
     gap.  Other blocks are untouched and the winding number is preserved."""
+    if r < 1:
+        raise ValueError("r must be at least 1")
     required = {frozenset(p) for p in parts}
     ground = frozenset().union(*required)
     _require_ground(ground, partition.n)
@@ -268,35 +273,6 @@ def _packed_pairs(partition: Dosp, r: int, ground: frozenset[int]) -> list[tuple
         for e, f, gap, next_gap in zip(marked, marked[1:] + marked[:1], gaps, gaps[1:] + gaps[:1])
         if gap == r and 0 < e < f and next_gap >= r
     ]
-
-
-def chi_by_runs(partition: Dosp, r: int, ground: Iterable[int], parts) -> bool:
-    """Whether each part is a contiguous stretch of one maximal increasing
-    packed run of the partition: its least element is marked and its
-    consecutive elements are packed pairs.  Equivalent to membership of the
-    partition in spread_image for the same parts.
-
-    Raises ValueError unless every marked element is a singleton block with
-    gap at least r, so that every run ends on a gap of at least r.
-    """
-    ground = frozenset(ground)
-    gap_of = {
-        min(b): gap
-        for b, gap in zip(partition.blocks, partition.gaps)
-        if len(b) == 1 and b <= ground
-    }
-    if gap_of.keys() != ground:
-        missing = sorted(ground - gap_of.keys())
-        raise ValueError(f"marked elements {missing} are not singleton blocks")
-    for e, gap in gap_of.items():
-        if gap < r:
-            raise ValueError(f"marked singleton block {{{e}}} has gap below {r}")
-    pairs = set(_packed_pairs(partition, r, ground))
-    for part in parts:
-        elems = sorted(part)
-        if elems[0] not in ground or not pairs.issuperset(zip(elems, elems[1:])):
-            return False
-    return True
 
 
 def _check_second_winding_vector(v: tuple[int, ...], k: int, r: int, ground: frozenset[int]) -> int:
@@ -385,7 +361,7 @@ def dosp_from_second_winding_vector(
     of a blue block is then spread clockwise behind the rest of its block,
     largest first, as a singleton followed by r-1 empty spots, into the
     spot-mask list for _dosp_from_spot_masks, laid out with the block holding
-    1 on spot 0 only so that Dosp keeps the interned gap tuple.  Inverse of
+    1 on spot 0, as that builder requires.  Inverse of
     second_winding_vector; v may be any sequence and ground any iterable.
     ValueError or TypeError is raised, before any walk, when they break the
     second-winding bounds or v, k or r is not integer.
@@ -400,7 +376,7 @@ def dosp_from_second_winding_vector(
     unmarked = ~marked
     # element 1 lies in the expansion of blue spot 0: on its first spot when
     # unmarked, else behind the larger marked elements there.  Starting that
-    # many spots before spot 0 puts its block there, so Dosp keeps the gaps.
+    # many spots before spot 0 puts its block there, as the builder needs.
     one = 1 + r * ((on_blue[0] & marked).bit_count() - 1) if marked & 1 else 0
     masks = [0] * k
     pos = -one

@@ -16,6 +16,7 @@ from hstar_lab.dosp import (
     winding_number,
     winding_vector,
     _block_of_mask,
+    _dosp_from_spot_masks,
     _gaps_between,
 )
 from hstar_lab.enumeration import enumerate_winding_vectors, iter_dosps
@@ -446,7 +447,7 @@ class TestCanonicalConstruction:
                             assert format_dosp(built) == format_dosp(p)
 
     def test_itemized_path_rotates_too(self):
-        # plain set blocks and list fields take the itemized checks
+        # plain set blocks and list fields are rotated and stored canonical
         for blocks, gaps in [
             ([{3, 5}, {4, 6}, {1, 2, 7}], [3, 1, 2]),
             (({4, 6}, {1, 2, 7}, {3, 5}), (1, 2, 3)),
@@ -454,6 +455,30 @@ class TestCanonicalConstruction:
             built = Dosp(blocks, gaps, 6, 7)
             assert built == ex1() and hash(built) == hash(ex1())
             assert (built.blocks, built.gaps) == (ex1().blocks, ex1().gaps)
+
+
+class TestTrustedConstruction:
+    def test_streamed_equals_checked(self):
+        # the spot-mask builder stores without checks exactly the value the
+        # checked constructor stores: 5,704 partitions
+        built = 0
+        for k in range(1, 6):
+            for n in range(1, 7):
+                for d in range(n):
+                    for p in iter_dosps(k, n, d):
+                        checked = Dosp(p.blocks, p.gaps, k, n)
+                        assert p == checked and hash(p) == hash(checked)
+                        assert (p.blocks, p.gaps, p.k, p.n) == (
+                            checked.blocks, checked.gaps, checked.k, checked.n
+                        )
+                        assert all(type(block) is frozenset for block in p.blocks)
+                        assert type(p.blocks) is tuple and type(p.gaps) is tuple
+                        built += 1
+        assert built == 5_704
+
+    def test_element_one_off_spot_zero_is_refused(self):
+        with pytest.raises(AssertionError, match="spot 0"):
+            _dosp_from_spot_masks([0, 1], 2, 1)
 
 
 class TestDospValidation:
@@ -494,6 +519,11 @@ class TestDospValidation:
             for blocks in [(frozenset({1}),), [{1}]]:
                 with pytest.raises(TypeError, match="integer"):
                     Dosp(blocks, gaps, k, n)
+        for blocks in [(frozenset({1.0}),), [{1.0}], (frozenset({True}),), [{True}]]:
+            with pytest.raises(TypeError, match="^element .* is not an integer$"):
+                Dosp(blocks, (1,), 1, 1)
+        with pytest.raises(TypeError, match="^element .* is not an integer$"):
+            cyclic_shift_elements(ex1(), 1.0)
 
     def test_list_fields_get_the_same_diagnostics(self):
         with pytest.raises(ValueError, match="gap labels sum to 3, expected k=2"):

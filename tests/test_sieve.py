@@ -28,7 +28,6 @@ from hstar_lab.sieve import (
     _require_ground,
     check_prop3,
     check_prop4,
-    chi_by_runs,
     dosp_family,
     dosp_from_second_winding_vector,
     dosps_with_bad_parts,
@@ -53,8 +52,8 @@ def _ordered_packed_runs(partition, r, ground):
     following links: block i links to block i+1 (cyclic) when both are
     marked singletons, the gap at i is exactly r and the elements increase.
     Every marked element, required to be a singleton block, lies in exactly
-    one run.  The reference for chi_by_runs and has_increasing_r_packed_gt1,
-    which read packed pairs instead."""
+    one run.  The reference for has_increasing_r_packed_gt1, which reads
+    packed pairs instead, and the run criterion of _reference_chi_by_runs."""
     m = len(partition.blocks)
     marked = [min(b) if len(b) == 1 and b <= ground else 0 for b in partition.blocks]
     following = marked[1:] + marked[:1]
@@ -95,7 +94,7 @@ def packed_run_partition(partition, r, ground):
 
 def _reference_chi_by_runs(partition, r, ground, parts):
     """Whether each part is a contiguous stretch of one run of
-    _ordered_packed_runs: the reference for chi_by_runs."""
+    _ordered_packed_runs: the criterion for membership in spread_image."""
     runs = _ordered_packed_runs(partition, r, frozenset(ground))
     run_of = {e: run for run in runs for e in run}
     for part in parts:
@@ -462,6 +461,11 @@ class TestPackedRuns:
         q = parse_dosp("({1}_1,{2}_2,{3,4}_1)", 4, 4)
         assert has_increasing_r_packed_gt1(q, 1, {1, 2})
 
+    def test_rejects_ground_outside_range(self):
+        p = parse_dosp("({1}_1,{2}_1,{3,4}_1)", 3, 4)
+        with pytest.raises(ValueError, match="^ground element 9 outside 1..4$"):
+            has_increasing_r_packed_gt1(p, 1, {9})
+
     def test_run_partition_requires_singletons(self):
         with pytest.raises(ValueError, match="not singleton"):
             packed_run_partition(parse_dosp("({1,2}_2,{3}_1)", 3, 3), 1, {1})
@@ -511,6 +515,12 @@ class TestSpread:
         with pytest.raises(ValueError, match="not a block"):
             spread_bad_parts(p, 1, [{1, 2}])
 
+    def test_rejects_r_below_one(self):
+        p = parse_dosp("({1}_2,{2,3}_1)", 3, 3)
+        for r in (0, -1):
+            with pytest.raises(ValueError, match="^r must be at least 1$"):
+                spread_bad_parts(p, r, [{1}])
+
     def test_rejects_non_bad_part(self):
         p = parse_dosp("({1,2,3}_2,{4,5}_2)", 4, 5)
         with pytest.raises(ValueError, match="not r-bad"):
@@ -531,7 +541,7 @@ class TestSpread:
                         assert winding_number(target) == winding_number(source) == d
                     members = set(dosps_with_bad_parts(k, n, d, r, singles(ground)))
                     expected = {
-                        p for p in members if chi_by_runs(p, r, ground, parts)
+                        p for p in members if _reference_chi_by_runs(p, r, ground, parts)
                     }
                     assert set(image) == expected
 
@@ -547,51 +557,18 @@ class TestChiEquivalence:
                         for parts in unordered_partitions(ground):
                             image = spread_image(k, n, d, r, parts)
                             for p in base:
-                                assert (p in image) == chi_by_runs(p, r, ground, parts)
+                                assert (p in image) == _reference_chi_by_runs(
+                                    p, r, ground, parts
+                                )
 
     def test_interval_condition_matters(self):
         # {1,3} refines the run {1,2,3} setwise but is not an interval of it
         p = parse_dosp("({1}_1,{2}_1,{3}_1,{4,5}_1)", 4, 5)
         ground = {1, 2, 3}
         assert packed_run_partition(p, 1, ground) == (frozenset({1, 2, 3}),)
-        assert chi_by_runs(p, 1, ground, (frozenset({1, 2}), frozenset({3})))
-        assert not chi_by_runs(p, 1, ground, (frozenset({1, 3}), frozenset({2})))
+        assert _reference_chi_by_runs(p, 1, ground, (frozenset({1, 2}), frozenset({3})))
+        assert not _reference_chi_by_runs(p, 1, ground, (frozenset({1, 3}), frozenset({2})))
         assert p not in spread_image(4, 5, 1, 1, (frozenset({1, 3}), frozenset({2})))
-
-    def test_rejects_marked_elements_outside_bad_singletons(self):
-        # a marked element outside a singleton block is named before a gap
-        # below r, here that of {3}
-        p = parse_dosp("({1,2}_1,{3}_1)", 2, 3)
-        with pytest.raises(ValueError) as info:
-            chi_by_runs(p, 2, {1, 3}, (frozenset({1}), frozenset({3})))
-        assert str(info.value) == "marked elements [1] are not singleton blocks"
-        q = parse_dosp("({1}_1,{2,3}_2)", 3, 3)
-        with pytest.raises(ValueError) as info:
-            chi_by_runs(q, 2, {1}, (frozenset({1}),))
-        assert str(info.value) == "marked singleton block {1} has gap below 2"
-
-    def test_matches_run_reference(self):
-        # every partition with k <= 5 and n <= 5, r <= 3, every ground of
-        # size <= 3 avoiding n and every set partition of it, valid or
-        # rejected: values and error messages
-        checked = hits = 0
-        for k in range(1, 6):
-            for n in range(1, 6):
-                cases = [
-                    (r, frozenset(g), parts)
-                    for r in (1, 2, 3)
-                    for m in range(4)
-                    for g in combinations(range(1, n), m)
-                    for parts in unordered_partitions(g)
-                ]
-                for d in range(n):
-                    for p in dosp_family(k, n, d):
-                        for r, ground, parts in cases:
-                            got = _outcome(chi_by_runs, p, r, ground, parts)
-                            assert got == _outcome(_reference_chi_by_runs, p, r, ground, parts)
-                            checked += 1
-                            hits += got is True
-        assert (checked, hits) == (119_724, 7_994)
 
 
 class TestRunFreeFamily:
@@ -738,7 +715,16 @@ class TestSecondWindingReconstruction:
                                 forward = set()
                                 for p in members:
                                     v = second_winding_vector(p, r, ground)
-                                    assert dosp_from_second_winding_vector(v, k, r, ground) == p
+                                    rebuilt = dosp_from_second_winding_vector(v, k, r, ground)
+                                    assert rebuilt == p
+                                    # stored unchecked, it is what the checks store
+                                    checked = Dosp(rebuilt.blocks, rebuilt.gaps, k, n)
+                                    assert hash(rebuilt) == hash(checked)
+                                    assert (rebuilt.blocks, rebuilt.gaps) == (
+                                        checked.blocks, checked.gaps
+                                    )
+                                    assert type(rebuilt.gaps) is tuple
+                                    assert all(type(b) is frozenset for b in rebuilt.blocks)
                                     forward.add(v)
                                 assert forward == set(vectors)
 
@@ -846,7 +832,7 @@ class TestProp4:
         assert packed_run_partition(p, 1, ground) == (frozenset({1, 2, 3, 4}),)
         by_size = {}
         for parts in unordered_partitions(ground):
-            if chi_by_runs(p, 1, ground, parts):
+            if _reference_chi_by_runs(p, 1, ground, parts):
                 by_size[len(parts)] = by_size.get(len(parts), 0) + 1
         assert by_size == {1: 1, 2: 3, 3: 3, 4: 1}
         signed = sum(
