@@ -279,11 +279,14 @@ def _check_second_winding_vector(v: tuple[int, ...], k: int, r: int, ground: fro
     """Raise ValueError unless v is a second winding vector for circle size
     k, r and the marked ground set, and return its blue spot count
     k - r*|ground|: marked entries lie in 1..blue, the others in 0..blue-1,
-    and the entry sum is blue times the winding number.  Raise TypeError,
-    before any walk, unless v, k and r are ints (blue is an int when k, r are)."""
+    and the entry sum is blue times the winding number.  r must be at least
+    1, or marked spots would overlap.  Raise TypeError, before any walk,
+    unless v, k and r are ints."""
     if not v:
         raise ValueError("vector must be nonempty")
     _require_ground(ground, len(v))
+    if r < 1:
+        raise ValueError("r must be at least 1")
     blue = k - r * len(ground)
     if blue < 1:
         raise ValueError("k - r*|ground| must be positive")
@@ -296,7 +299,7 @@ def _check_second_winding_vector(v: tuple[int, ...], k: int, r: int, ground: fro
     total = sum(v)
     if total % blue:
         raise ValueError("entries must sum to a multiple of the blue spot count")
-    if type(total) is not int or type(blue) is not int:
+    if type(total) is not int or type(k) is not int or type(r) is not int:
         raise TypeError("second winding entries, k and r must be integers")
     return blue
 

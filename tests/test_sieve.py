@@ -652,13 +652,27 @@ class TestSecondWindingVector:
             dosp_from_second_winding_vector((1, 1, 1), 4, 1, frozenset({3}))
 
     @pytest.mark.parametrize(
-        "v,k,r", [((1.0, 1, 1), 4, 1), ((1, 1, 1), 4.0, 1), ((1, 1, 1), 4, 1.0)]
+        "v,k,r",
+        [((1.0, 1, 1), 4, 1), ((1, 1, 1), 4.0, 1), ((1, 1, 1), 4, 1.0), ((1, 2, 0), 4, True)],
     )
     def test_rejects_non_integer_input(self, v, k, r):
         with pytest.raises(TypeError, match="^second winding entries, k and r must be integers$"):
             dosp_from_second_winding_vector(v, k, r, {1})
         with pytest.raises(TypeError, match="^second winding entries, k and r must be integers$"):
             _check_second_winding_vector(v, k, r, frozenset({1}))
+
+    def test_rejects_bool_k(self):
+        # with no marked element the blue count True - 0 is the int 1
+        with pytest.raises(TypeError, match="^second winding entries, k and r must be integers$"):
+            dosp_from_second_winding_vector((0,), True, 1, ())
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_rejects_r_below_one(self, r):
+        # r < 1 would lay marked elements over one another in the spot list
+        with pytest.raises(ValueError, match="^r must be at least 1$"):
+            dosp_from_second_winding_vector((1, 1, 1), 3, r, {2})
+        with pytest.raises(ValueError, match="^r must be at least 1$"):
+            _check_second_winding_vector((1, 1, 1), 3, r, frozenset({2}))
 
     def test_rejects_non_integer_r_before_the_walk(self):
         p = parse_dosp("({1}_2,{2,3}_1,{4}_1)", 4, 4)
