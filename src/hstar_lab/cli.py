@@ -55,13 +55,9 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, separators=(",", ":"), sort_keys=False))
 
 
-def _parse_spec(args) -> PolytopeSpec:
-    return PolytopeSpec(args.r, args.k, args.n)
-
-
 def cmd_hstar(args) -> int:
     try:
-        spec = _parse_spec(args)
+        spec = PolytopeSpec(args.r, args.k, args.n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

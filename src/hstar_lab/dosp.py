@@ -260,16 +260,25 @@ def cyclic_shift_elements(partition: Dosp, s: int) -> Dosp:
     """Relabel each element e as ((e-1+s) mod n)+1, keeping blocks and gaps.
     Preserves the winding number."""
     n = partition.n
+    if type(s) is not int:
+        raise TypeError("shift must be an integer")
     if not 0 <= s < n:
         raise ValueError(f"shift must lie in 0..{n - 1}")
     blocks = tuple(frozenset((e - 1 + s) % n + 1 for e in block) for block in partition.blocks)
     return Dosp(blocks, partition.gaps, partition.k, n)
 
 
-def r_bad_blocks(partition: Dosp, r: int) -> frozenset[frozenset[int]]:
-    """Blocks whose gap label is at least r times their size."""
+def _require_r(r: int) -> None:
+    """Raise unless r is an int of at least 1; a bool is not an int here."""
+    if type(r) is not int:
+        raise TypeError("r must be an integer")
     if r < 1:
         raise ValueError("r must be at least 1")
+
+
+def r_bad_blocks(partition: Dosp, r: int) -> frozenset[frozenset[int]]:
+    """Blocks whose gap label is at least r times their size."""
+    _require_r(r)
     return frozenset(
         block for block, gap in zip(partition.blocks, partition.gaps) if gap >= r * len(block)
     )
@@ -277,9 +286,9 @@ def r_bad_blocks(partition: Dosp, r: int) -> frozenset[frozenset[int]]:
 
 def is_r_hypersimplicial(partition: Dosp, r: int) -> bool:
     """True when every block satisfies 1 <= gap <= r*size - 1, i.e. no block
-    is r-bad."""
-    if r < 1:
-        raise ValueError("r must be at least 1")
+    is r-bad.  r is tested inline, since enum calls this once per vector."""
+    if type(r) is not int or r < 1:
+        _require_r(r)
     for block, gap in zip(partition.blocks, partition.gaps):
         if gap >= r * len(block):
             return False

@@ -14,6 +14,7 @@ from typing import Iterator
 from .dosp import (
     Dosp,
     PolytopeSpec,
+    _require_r,
     dosp_from_winding_vector,
     is_r_hypersimplicial,
 )
@@ -70,12 +71,14 @@ def bounded_vectors(length: int, bound: int, total: int) -> Iterator[tuple[int, 
 
 def enumerate_winding_vectors(k: int, n: int, d: int) -> Iterator[tuple[int, ...]]:
     """Every vector with entries in 0..k-1 summing to k*d, as a plain tuple,
-    lexicographically; empty when k*d exceeds n*(k-1)."""
+    lexicographically; empty when k*d exceeds n*(k-1).  Checked at the call."""
+    if type(k) is not int or type(n) is not int or type(d) is not int:
+        raise TypeError("k, n and d must be integers")
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive")
     if d < 0:
         raise ValueError("winding number d must be nonnegative")
-    yield from bounded_vectors(n, k - 1, k * d)
+    return bounded_vectors(n, k - 1, k * d)
 
 
 def iter_dosps(k: int, n: int, d: int) -> Iterator[Dosp]:
@@ -89,12 +92,9 @@ def count_r_hypersimplicial(k: int, n: int, r: int, d: int) -> int:
     """Number of r-hypersimplicial partitions of type (k, n) with winding
     number d, by streaming winding vectors, converting each to a partition,
     and filtering."""
-    if k < 1 or n < 1 or r < 1:
-        raise ValueError("k, n and r must be positive")
-    if d < 0:
-        raise ValueError("winding number d must be nonnegative")
+    _require_r(r)
     count = 0
-    for w in bounded_vectors(n, k - 1, k * d):
+    for w in enumerate_winding_vectors(k, n, d):
         if is_r_hypersimplicial(dosp_from_winding_vector(w, k), r):
             count += 1
     return count

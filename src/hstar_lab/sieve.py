@@ -1,22 +1,24 @@
 """Machine checks for the inclusion-exclusion sieve behind the
 r-hypersimplicial count.
 
-The sieve works over a ground set T of elements (never containing n) that are
-forced to sit in r-bad blocks.  For a set partition S of T,
-dosps_with_bad_parts lists the partitions whose r-bad blocks contain every
-part of S; sieve_term is the signed sum of those family sizes over all S.
-Every partition in the sieve can be spread into one whose forced elements are
-bad singleton blocks (spread_bad_parts); runs of consecutive marked singleton
-blocks at gap exactly r with increasing elements are the obstruction tracked
-by has_increasing_r_packed_gt1 and read off packed pairs (_packed_pairs).
-Members without such runs are counted by second winding vectors, plain tuples
-like winding vectors: color the spot of each marked singleton and its r-1
-trailing empties red, and record blue spots passed between consecutive
-elements.  Their bounds are checked where a vector is read off a partition or
-rebuilt into one, not on the stream, which is in bounds by construction.
-check_prop3 and check_prop4 verify the two collapsing steps of the sieve, and
-sieve_term_closed_form is the resulting closed form, checked by the eq6
-sweep.
+The sieve works over a ground set T of elements in 1..n-1 that are forced to
+sit in r-bad blocks.  A function taking T checks it, r first, in
+_require_ground, except sieve_term, which check_prop3 also gives {1..n}; one
+taking r alone, or sieve_term, checks r in dosp._require_r.  For a set
+partition S of T, dosps_with_bad_parts lists the partitions whose r-bad blocks
+contain every part of S; sieve_term is the signed sum of those family sizes
+over all S.  Every partition in the sieve can be spread into one whose forced
+elements are bad singleton blocks (spread_bad_parts); runs of consecutive
+marked singleton blocks at gap exactly r with increasing elements are the
+obstruction tracked by has_increasing_r_packed_gt1 and read off packed pairs
+(_packed_pairs).  Members without such runs are counted by second winding
+vectors, plain tuples like winding vectors: color the spot of each marked
+singleton and its r-1 trailing empties red, and record blue spots passed
+between consecutive elements.  Their bounds are checked where a vector is read
+off a partition or rebuilt into one, not on the stream, which is in bounds by
+construction.  check_prop3 and check_prop4 verify the two collapsing steps of
+the sieve, and sieve_term_closed_form is the resulting closed form, checked by
+the eq6 sweep.
 
 The materialized families (dosp_family) are cached, at most 256, so a
 long-lived process keeps bounded memory.  Members are slotted records that
@@ -44,6 +46,7 @@ from .dosp import (
     _block_of_mask,
     _dosp_from_spot_masks,
     _element_spots,
+    _require_r,
     _walk,
     r_bad_blocks,
 )
@@ -91,12 +94,18 @@ def _normalize_parts(parts: Iterable[Iterable[int]]) -> SetPartition:
     return tuple(sorted((frozenset(p) for p in parts), key=min))
 
 
-def _require_ground(ground: frozenset[int], n: int) -> None:
+def _require_ground(ground: Iterable[int], n: int, r: int) -> frozenset[int]:
+    """Check r (inline first: prop5 calls this twice per member), then that
+    every marked element lies in 1..n-1; return the ground as a frozenset."""
+    if type(r) is not int or r < 1:
+        _require_r(r)
+    ground = frozenset(ground)
     for t in ground:
         if not 1 <= t <= n:
             raise ValueError(f"ground element {t} outside 1..{n}")
     if n in ground:
         raise ValueError(f"ground set must not contain {n}")
+    return ground
 
 
 @lru_cache(maxsize=256)
@@ -170,6 +179,7 @@ def _members(family: tuple[Dosp, ...], mask: int) -> list[Dosp]:
 def dosps_with_bad_parts(k: int, n: int, d: int, r: int, parts) -> list[Dosp]:
     """Partitions of type (k, n) with winding number d whose set of r-bad
     blocks contains every given part as a block, in stream order."""
+    _require_r(r)
     mask = _holding(_family_with_bad_blocks(k, n, d, r), parts)
     return _members(dosp_family(k, n, d), mask)
 
@@ -177,6 +187,7 @@ def dosps_with_bad_parts(k: int, n: int, d: int, r: int, parts) -> list[Dosp]:
 def sieve_term(k: int, n: int, d: int, r: int, ground: Iterable[int]) -> int:
     """Signed sum over all set partitions S of the ground set of the number
     of partitions whose r-bad blocks contain S, weighted by (-1)**|S|."""
+    _require_r(r)
     postings = _family_with_bad_blocks(k, n, d, r)
     total = 0
     for parts in unordered_partitions(ground):
@@ -188,6 +199,7 @@ def sieve_term_closed_form(k: int, n: int, d: int, r: int, m: int) -> int:
     """Predicted sieve term for any ground set of size m avoiding n:
     (-1)**m times the coefficient of t**((k-r*m)*d - m) in the (k-r*m)-bounded
     power."""
+    _require_r(r)
     a = k - r * m
     return (-1) ** m * restricted_coeff(n, a * d - m, a)
 
@@ -197,8 +209,7 @@ def has_increasing_r_packed_gt1(partition: Dosp, r: int, ground: Iterable[int]) 
     or more, at gaps exactly r (the final gap at least r) whose elements
     increase along the sequence.  Block indices are cyclic; every starting
     position is scanned."""
-    ground = frozenset(ground)
-    _require_ground(ground, partition.n)
+    ground = _require_ground(ground, partition.n, r)
     return bool(_packed_pairs(partition, r, ground))
 
 
@@ -207,11 +218,8 @@ def spread_bad_parts(partition: Dosp, r: int, parts) -> Dosp:
     elements in increasing order as consecutive singleton blocks: the first
     ones at gap exactly r, the last keeping the remainder of the original
     gap.  Other blocks are untouched and the winding number is preserved."""
-    if r < 1:
-        raise ValueError("r must be at least 1")
     required = {frozenset(p) for p in parts}
-    ground = frozenset().union(*required)
-    _require_ground(ground, partition.n)
+    _require_ground(frozenset().union(*required), partition.n, r)
     new_blocks: list[frozenset[int]] = []
     new_gaps: list[int] = []
     found: set[frozenset[int]] = set()
@@ -251,8 +259,7 @@ def _singleton_parts(ground: frozenset[int]) -> SetPartition:
 def run_free_family(k: int, n: int, d: int, r: int, ground: Iterable[int]) -> list[Dosp]:
     """Members of the family whose marked elements all sit in r-bad singleton
     blocks and which carry no increasing packed run of length greater than 1."""
-    ground = frozenset(ground)
-    _require_ground(ground, n)
+    ground = _require_ground(ground, n, r)
     postings = _family_with_bad_blocks(k, n, d, r)
     mask = _holding(postings, _singleton_parts(ground))
     for (e, f), carriers in postings.by_pair.items():
@@ -279,14 +286,12 @@ def _check_second_winding_vector(v: tuple[int, ...], k: int, r: int, ground: fro
     """Raise ValueError unless v is a second winding vector for circle size
     k, r and the marked ground set, and return its blue spot count
     k - r*|ground|: marked entries lie in 1..blue, the others in 0..blue-1,
-    and the entry sum is blue times the winding number.  r must be at least
-    1, or marked spots would overlap.  Raise TypeError, before any walk,
-    unless v, k and r are ints."""
+    and the entry sum is blue times the winding number.  _require_ground
+    checks r first, since r < 1 would lay marked spots over one another.
+    Raise TypeError, before any walk, unless v and k are ints."""
     if not v:
         raise ValueError("vector must be nonempty")
-    _require_ground(ground, len(v))
-    if r < 1:
-        raise ValueError("r must be at least 1")
+    _require_ground(ground, len(v), r)
     blue = k - r * len(ground)
     if blue < 1:
         raise ValueError("k - r*|ground| must be positive")
@@ -299,7 +304,7 @@ def _check_second_winding_vector(v: tuple[int, ...], k: int, r: int, ground: fro
     total = sum(v)
     if total % blue:
         raise ValueError("entries must sum to a multiple of the blue spot count")
-    if type(total) is not int or type(k) is not int or type(r) is not int:
+    if type(total) is not int or type(k) is not int:
         raise TypeError("second winding entries, k and r must be integers")
     return blue
 
@@ -314,10 +319,7 @@ def second_winding_vector(partition: Dosp, r: int, ground: Iterable[int]) -> tup
     the r-1 empty trailing spots, or when the vector read off breaks the
     second-winding bounds, as a zero entry for a marked element does.
     """
-    if type(r) is not int:
-        raise TypeError("r must be an integer")
-    ground = frozenset(ground)
-    _require_ground(ground, partition.n)
+    ground = _require_ground(ground, partition.n, r)
     k = partition.k
     spots = _element_spots(partition)
     # each marked singleton colors its spot and the r-1 spots after it red;
@@ -404,8 +406,7 @@ def enumerate_second_winding_vectors(
     """All vectors satisfying the second-winding bounds for the given ground
     set and winding number d, in lexicographic order of the shifted vector.
     They are in bounds by construction, so none is checked."""
-    ground = frozenset(ground)
-    _require_ground(ground, n)
+    ground = _require_ground(ground, n, r)
     blue = k - r * len(ground)
     if blue < 1:
         return
@@ -418,8 +419,7 @@ def check_prop4(k: int, n: int, d: int, r: int, ground: Iterable[int]) -> bool:
     """For every family member whose marked elements are bad singleton blocks,
     the signed count of set partitions whose spread image contains it must
     collapse to (-1)**|ground| on run-free members and to 0 otherwise."""
-    ground = frozenset(ground)
-    _require_ground(ground, n)
+    ground = _require_ground(ground, n, r)
     base = dosps_with_bad_parts(k, n, d, r, _singleton_parts(ground))
     images = [
         (len(parts), spread_image(k, n, d, r, parts))
@@ -447,6 +447,7 @@ def check_prop3(k: int, n: int, r: int, d: int) -> bool:
     r-hypersimplicial partitions of type (k, n) with winding number d.
     Subsets containing n (other than the full set) are first shifted away
     from n, which leaves their term unchanged."""
+    _require_r(r)
     total = 0
     for mask in range(2**n):
         ground = _block_of_mask(mask)

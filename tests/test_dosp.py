@@ -522,8 +522,9 @@ class TestDospValidation:
         for blocks in [(frozenset({1.0}),), [{1.0}], (frozenset({True}),), [{True}]]:
             with pytest.raises(TypeError, match="^element .* is not an integer$"):
                 Dosp(blocks, (1,), 1, 1)
-        with pytest.raises(TypeError, match="^element .* is not an integer$"):
-            cyclic_shift_elements(ex1(), 1.0)
+        for s in (1.0, True):
+            with pytest.raises(TypeError, match="^shift must be an integer$"):
+                cyclic_shift_elements(ex1(), s)
 
     def test_list_fields_get_the_same_diagnostics(self):
         with pytest.raises(ValueError, match="gap labels sum to 3, expected k=2"):

@@ -88,7 +88,7 @@ def packed_run_partition(partition, r, ground):
     """Partition of the ground set by the maximal increasing packed runs of
     the given partition."""
     ground = frozenset(ground)
-    _require_ground(ground, partition.n)
+    _require_ground(ground, partition.n, r)
     return _normalize_parts(_ordered_packed_runs(partition, r, ground))
 
 
@@ -656,9 +656,14 @@ class TestSecondWindingVector:
         [((1.0, 1, 1), 4, 1), ((1, 1, 1), 4.0, 1), ((1, 1, 1), 4, 1.0), ((1, 2, 0), 4, True)],
     )
     def test_rejects_non_integer_input(self, v, k, r):
-        with pytest.raises(TypeError, match="^second winding entries, k and r must be integers$"):
+        # r has its own check and message, shared by every function taking r
+        if type(r) is int:
+            message = "^second winding entries, k and r must be integers$"
+        else:
+            message = "^r must be an integer$"
+        with pytest.raises(TypeError, match=message):
             dosp_from_second_winding_vector(v, k, r, {1})
-        with pytest.raises(TypeError, match="^second winding entries, k and r must be integers$"):
+        with pytest.raises(TypeError, match=message):
             _check_second_winding_vector(v, k, r, frozenset({1}))
 
     def test_rejects_bool_k(self):
@@ -747,7 +752,7 @@ def _reference_second_winding_vector(partition, r, ground):
     """The per-spot walk that second_winding_vector replaced, followed by
     the same bounds check."""
     ground = frozenset(ground)
-    _require_ground(ground, partition.n)
+    _require_ground(ground, partition.n, r)
     diagram = SpotDiagram.from_dosp(partition)
     red = diagram.red_spots(ground, r)
     spot_of = {}
