@@ -45,8 +45,7 @@ class PolytopeSpec:
     n: int
 
     def __post_init__(self):
-        if type(self.r) is not int or type(self.k) is not int or type(self.n) is not int:
-            raise TypeError("r, k and n must be integers")
+        _require_ints({}, r=self.r, k=self.k, n=self.n)  # types only: the CLI prints the ranges
         if self.r < 1:
             raise ValueError("coordinate cap r must be at least 1")
         if self.n < 2:
@@ -72,8 +71,7 @@ class Dosp:
     n: int
 
     def __post_init__(self):
-        if type(self.k) is not int or type(self.n) is not int:
-            raise TypeError("k and n must be integers")
+        _require_ints(k=self.k, n=self.n)
         blocks, gaps = tuple(self.blocks), tuple(self.gaps)
         if not blocks:
             raise ValueError("at least one block is required")
@@ -206,6 +204,8 @@ def dosp_from_winding_vector(w: Iterable[int], k: int) -> Dosp:
     spot 0 and each next element w_i spots further, and its spot-mask list
     goes to _dosp_from_spot_masks, which shares equal blocks and gap tuples.
     """
+    if type(k) is not int or k < 1:  # inline: enum calls this once per vector
+        _require_ints(k=k)
     w = tuple(w)
     n = len(w)
     if n == 0:
@@ -216,10 +216,10 @@ def dosp_from_winding_vector(w: Iterable[int], k: int) -> Dosp:
     total = sum(w)
     if total % k:
         raise ValueError(f"winding entries sum to {total}, not a multiple of k={k}")
-    # float entries or a float or bool k pass the checks above but must not
-    # reach the walk, which would give float spots and gaps
-    if type(total) is not int or type(k) is not int:
-        raise TypeError("winding entries and k must be integers")
+    # float entries pass the checks above but must not reach the walk, which
+    # would give float spots and gaps
+    if type(total) is not int:
+        raise TypeError("winding entries must be integers")
     return _dosp_from_spot_masks(_walk(w, k), k, n)
 
 
@@ -260,25 +260,32 @@ def cyclic_shift_elements(partition: Dosp, s: int) -> Dosp:
     """Relabel each element e as ((e-1+s) mod n)+1, keeping blocks and gaps.
     Preserves the winding number."""
     n = partition.n
-    if type(s) is not int:
-        raise TypeError("shift must be an integer")
-    if not 0 <= s < n:
+    _require_ints(shift=s)
+    if s >= n:
         raise ValueError(f"shift must lie in 0..{n - 1}")
     blocks = tuple(frozenset((e - 1 + s) % n + 1 for e in block) for block in partition.blocks)
     return Dosp(blocks, partition.gaps, partition.k, n)
 
 
-def _require_r(r: int) -> None:
-    """Raise unless r is an int of at least 1; a bool is not an int here."""
-    if type(r) is not int:
-        raise TypeError("r must be an integer")
-    if r < 1:
-        raise ValueError("r must be at least 1")
+# least value of each integer argument by name; a name absent from the table is only type-checked
+_LEAST = {"k": 1, "n": 1, "r": 1, "d": 0, "m": 0, "t": 0, "length": 0, "bound": 0, "shift": 0}
+
+
+def _require_ints(least: dict[str, int] = _LEAST, /, **values: int) -> None:
+    """Raise TypeError("<name> must be an integer") unless each named value is an
+    int (a bool is not), ValueError("<name> must be at least <low>") below least[name]."""
+    for name in values:
+        value = values[name]
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an integer")
+        if name in least and value < least[name]:
+            raise ValueError(f"{name} must be at least {least[name]}")
 
 
 def r_bad_blocks(partition: Dosp, r: int) -> frozenset[frozenset[int]]:
     """Blocks whose gap label is at least r times their size."""
-    _require_r(r)
+    if type(r) is not int or r < 1:  # inline: the sieve calls this per family member
+        _require_ints(r=r)
     return frozenset(
         block for block, gap in zip(partition.blocks, partition.gaps) if gap >= r * len(block)
     )
@@ -288,7 +295,7 @@ def is_r_hypersimplicial(partition: Dosp, r: int) -> bool:
     """True when every block satisfies 1 <= gap <= r*size - 1, i.e. no block
     is r-bad.  r is tested inline, since enum calls this once per vector."""
     if type(r) is not int or r < 1:
-        _require_r(r)
+        _require_ints(r=r)
     for block, gap in zip(partition.blocks, partition.gaps):
         if gap >= r * len(block):
             return False

@@ -14,7 +14,7 @@ from typing import Iterator
 from .dosp import (
     Dosp,
     PolytopeSpec,
-    _require_r,
+    _require_ints,
     dosp_from_winding_vector,
     is_r_hypersimplicial,
 )
@@ -32,10 +32,7 @@ __all__ = [
 def bounded_vectors(length: int, bound: int, total: int) -> Iterator[tuple[int, ...]]:
     """All integer vectors of the given length with entries in 0..bound and
     the given entry sum, in lexicographic order; all three must be ints."""
-    if type(length) is not int or type(bound) is not int or type(total) is not int:
-        raise TypeError("length, bound and total must be integers")
-    if length < 0 or bound < 0:
-        raise ValueError("length and bound must be nonnegative")
+    _require_ints(length=length, bound=bound, total=total)
     if total < 0 or total > length * bound:
         return
     if length == 0:
@@ -72,12 +69,7 @@ def bounded_vectors(length: int, bound: int, total: int) -> Iterator[tuple[int, 
 def enumerate_winding_vectors(k: int, n: int, d: int) -> Iterator[tuple[int, ...]]:
     """Every vector with entries in 0..k-1 summing to k*d, as a plain tuple,
     lexicographically; empty when k*d exceeds n*(k-1).  Checked at the call."""
-    if type(k) is not int or type(n) is not int or type(d) is not int:
-        raise TypeError("k, n and d must be integers")
-    if k < 1 or n < 1:
-        raise ValueError("k and n must be positive")
-    if d < 0:
-        raise ValueError("winding number d must be nonnegative")
+    _require_ints(k=k, n=n, d=d)
     return bounded_vectors(n, k - 1, k * d)
 
 
@@ -92,7 +84,7 @@ def count_r_hypersimplicial(k: int, n: int, r: int, d: int) -> int:
     """Number of r-hypersimplicial partitions of type (k, n) with winding
     number d, by streaming winding vectors, converting each to a partition,
     and filtering."""
-    _require_r(r)
+    _require_ints(r=r)
     count = 0
     for w in enumerate_winding_vectors(k, n, d):
         if is_r_hypersimplicial(dosp_from_winding_vector(w, k), r):

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .coeffcore import _power_row, restricted_coeff
-from .dosp import PolytopeSpec
+from .dosp import PolytopeSpec, _require_ints
 
 __all__ = [
     "HStarVector",
@@ -135,6 +135,7 @@ def check_lemma1(n: int, m: int, a: int) -> bool:
 
     for n, m, a >= 1.
     """
+    _require_ints(n=n, m=m)
     lhs = restricted_coeff(n, m, a) - restricted_coeff(n, m - 1, a)
     rhs = restricted_coeff(n - 1, m, a) - restricted_coeff(n - 1, m - a, a)
     return lhs == rhs
@@ -148,8 +149,9 @@ def check_prop1(s: int, a: int, n: int, max_degree: int) -> bool:
 
     agree coefficientwise.  The identity holds for 0 <= s <= n; rows with a
     negative upper index are treated as zero, so calling with s > n reports
-    the genuine failure instead of raising.
+    the genuine failure instead of raising.  n may be 0, the empty power.
     """
+    _require_ints({"n": 0}, n=n)
     lhs = _shifted_series(n, a, s, max_degree)[: max_degree + 1]
     rhs = [restricted_coeff(n, l * a - s, a) for l in range(max_degree + 1)]
     return lhs == rhs
@@ -158,4 +160,5 @@ def check_prop1(s: int, a: int, n: int, max_degree: int) -> bool:
 def count_dosps(k: int, n: int, d: int) -> int:
     """Number of partitions of type (k, n) with winding number d, <n : k*d>_k;
     equals the length of the winding-vector stream."""
+    _require_ints(k=k, n=n, d=d)
     return restricted_coeff(n, k * d, k)

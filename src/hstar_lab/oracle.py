@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import repeat
 from operator import mul
 
-from .dosp import PolytopeSpec
+from .dosp import PolytopeSpec, _require_ints
 from .hstar import HStarVector
 
 __all__ = ["lattice_count", "lattice_count_direct", "hstar_from_oracle"]
@@ -30,8 +30,7 @@ _DIRECT_CHECK_BOUND = 24
 def lattice_count_direct(spec: PolytopeSpec, t: int) -> int:
     """Count lattice points of the t-th dilate by walking coordinates one at
     a time; each admissible vector is reached exactly once."""
-    if t < 0:
-        raise ValueError("dilation factor must be nonnegative")
+    _require_ints(t=t)
     cap = spec.r * t
 
     def rec(coords_left: int, remaining: int) -> int:
@@ -58,8 +57,7 @@ def lattice_count(spec: PolytopeSpec, t: int) -> int:
     (t*r*n <= 24) are cross-checked against the direct enumeration, and a
     mismatch raises AssertionError.
     """
-    if t < 0:
-        raise ValueError("dilation factor must be nonnegative")
+    _require_ints(t=t)
     n = spec.n
     # term i reads C(top + n - 1, n - 1), whose upper index falls by r*t + 1
     # per i; the sum stops before it drops below n - 1, where top < 0

@@ -2,9 +2,9 @@
 r-hypersimplicial count.
 
 The sieve works over a ground set T of elements in 1..n-1 that are forced to
-sit in r-bad blocks.  A function taking T checks it, r first, in
-_require_ground, except sieve_term, which check_prop3 also gives {1..n}; one
-taking r alone, or sieve_term, checks r in dosp._require_r.  For a set
+sit in r-bad blocks.  Integer arguments are checked by dosp._require_ints and
+the elements of T, or of parts, by _require_ground; dosps_with_bad_parts and
+sieve_term, which check_prop3 gives {1..n}, also accept n.  For a set
 partition S of T, dosps_with_bad_parts lists the partitions whose r-bad blocks
 contain every part of S; sieve_term is the signed sum of those family sizes
 over all S.  Every partition in the sieve can be spread into one whose forced
@@ -46,7 +46,7 @@ from .dosp import (
     _block_of_mask,
     _dosp_from_spot_masks,
     _element_spots,
-    _require_r,
+    _require_ints,
     _walk,
     r_bad_blocks,
 )
@@ -94,21 +94,23 @@ def _normalize_parts(parts: Iterable[Iterable[int]]) -> SetPartition:
     return tuple(sorted((frozenset(p) for p in parts), key=min))
 
 
-def _require_ground(ground: Iterable[int], n: int, r: int) -> frozenset[int]:
+def _require_ground(ground: Iterable[int], n: int, r: int, top: bool = False) -> frozenset[int]:
     """Check r (inline first: prop5 calls this twice per member), then that
-    every marked element lies in 1..n-1; return the ground as a frozenset."""
+    each element is an int in 1..n-1 (1..n if top); return it as a frozenset."""
     if type(r) is not int or r < 1:
-        _require_r(r)
+        _require_ints(r=r)
     ground = frozenset(ground)
     for t in ground:
+        if type(t) is not int:
+            raise TypeError(f"ground element {t!r} is not an integer")
         if not 1 <= t <= n:
             raise ValueError(f"ground element {t} outside 1..{n}")
-    if n in ground:
+    if n in ground and not top:
         raise ValueError(f"ground set must not contain {n}")
     return ground
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def dosp_family(k: int, n: int, d: int) -> tuple[Dosp, ...]:
     """All partitions of type (k, n) with winding number d, materialized in
     stream order.  Meant for desk-scale exhaustive checks.
@@ -117,7 +119,7 @@ def dosp_family(k: int, n: int, d: int) -> tuple[Dosp, ...]:
     has at most 2**n - 1 distinct blocks and 2**(k-1) distinct gap tuples,
     and dosp_from_winding_vector takes each from a process-wide intern
     cache, so each is stored once however many members hold it.  At most 256
-    families stay cached; the default verify bounds need 120.
+    families stay cached (verify needs 120), typed so that a bool key misses.
     """
     return tuple(iter_dosps(k, n, d))
 
@@ -159,10 +161,10 @@ def _family_with_bad_blocks(k: int, n: int, d: int, r: int) -> _Postings:
 
 
 def _holding(postings: _Postings, parts) -> int:
-    """Bitmask of the members whose r-bad blocks contain every given part."""
+    """Bitmask of the members whose r-bad blocks contain every given frozenset."""
     mask = postings.everyone
     for part in parts:
-        mask &= postings.by_block.get(frozenset(part), 0)
+        mask &= postings.by_block.get(part, 0)
     return mask
 
 
@@ -179,7 +181,9 @@ def _members(family: tuple[Dosp, ...], mask: int) -> list[Dosp]:
 def dosps_with_bad_parts(k: int, n: int, d: int, r: int, parts) -> list[Dosp]:
     """Partitions of type (k, n) with winding number d whose set of r-bad
     blocks contains every given part as a block, in stream order."""
-    _require_r(r)
+    _require_ints(k=k, n=n, d=d)
+    parts = [frozenset(part) for part in parts]
+    _require_ground(frozenset().union(*parts), n, r, top=True)
     mask = _holding(_family_with_bad_blocks(k, n, d, r), parts)
     return _members(dosp_family(k, n, d), mask)
 
@@ -187,7 +191,8 @@ def dosps_with_bad_parts(k: int, n: int, d: int, r: int, parts) -> list[Dosp]:
 def sieve_term(k: int, n: int, d: int, r: int, ground: Iterable[int]) -> int:
     """Signed sum over all set partitions S of the ground set of the number
     of partitions whose r-bad blocks contain S, weighted by (-1)**|S|."""
-    _require_r(r)
+    _require_ints(k=k, n=n, d=d)
+    ground = _require_ground(ground, n, r, top=True)
     postings = _family_with_bad_blocks(k, n, d, r)
     total = 0
     for parts in unordered_partitions(ground):
@@ -199,7 +204,7 @@ def sieve_term_closed_form(k: int, n: int, d: int, r: int, m: int) -> int:
     """Predicted sieve term for any ground set of size m avoiding n:
     (-1)**m times the coefficient of t**((k-r*m)*d - m) in the (k-r*m)-bounded
     power."""
-    _require_r(r)
+    _require_ints(k=k, n=n, d=d, r=r, m=m)
     a = k - r * m
     return (-1) ** m * restricted_coeff(n, a * d - m, a)
 
@@ -259,6 +264,7 @@ def _singleton_parts(ground: frozenset[int]) -> SetPartition:
 def run_free_family(k: int, n: int, d: int, r: int, ground: Iterable[int]) -> list[Dosp]:
     """Members of the family whose marked elements all sit in r-bad singleton
     blocks and which carry no increasing packed run of length greater than 1."""
+    _require_ints(k=k, n=n, d=d)
     ground = _require_ground(ground, n, r)
     postings = _family_with_bad_blocks(k, n, d, r)
     mask = _holding(postings, _singleton_parts(ground))
@@ -286,11 +292,13 @@ def _check_second_winding_vector(v: tuple[int, ...], k: int, r: int, ground: fro
     """Raise ValueError unless v is a second winding vector for circle size
     k, r and the marked ground set, and return its blue spot count
     k - r*|ground|: marked entries lie in 1..blue, the others in 0..blue-1,
-    and the entry sum is blue times the winding number.  _require_ground
-    checks r first, since r < 1 would lay marked spots over one another.
-    Raise TypeError, before any walk, unless v and k are ints."""
+    and the entry sum is blue times the winding number.  k is tested inline
+    (prop5 calls this twice per member), then r, which must be at least 1 not
+    to lay marked spots over one another.  Raise TypeError before any walk."""
     if not v:
         raise ValueError("vector must be nonempty")
+    if type(k) is not int or k < 1:
+        _require_ints(k=k)
     _require_ground(ground, len(v), r)
     blue = k - r * len(ground)
     if blue < 1:
@@ -304,8 +312,8 @@ def _check_second_winding_vector(v: tuple[int, ...], k: int, r: int, ground: fro
     total = sum(v)
     if total % blue:
         raise ValueError("entries must sum to a multiple of the blue spot count")
-    if type(total) is not int or type(k) is not int:
-        raise TypeError("second winding entries, k and r must be integers")
+    if type(total) is not int:
+        raise TypeError("second winding entries must be integers")
     return blue
 
 
@@ -406,6 +414,7 @@ def enumerate_second_winding_vectors(
     """All vectors satisfying the second-winding bounds for the given ground
     set and winding number d, in lexicographic order of the shifted vector.
     They are in bounds by construction, so none is checked."""
+    _require_ints(k=k, n=n, d=d)
     ground = _require_ground(ground, n, r)
     blue = k - r * len(ground)
     if blue < 1:
@@ -419,6 +428,7 @@ def check_prop4(k: int, n: int, d: int, r: int, ground: Iterable[int]) -> bool:
     """For every family member whose marked elements are bad singleton blocks,
     the signed count of set partitions whose spread image contains it must
     collapse to (-1)**|ground| on run-free members and to 0 otherwise."""
+    _require_ints(k=k, n=n, d=d)
     ground = _require_ground(ground, n, r)
     base = dosps_with_bad_parts(k, n, d, r, _singleton_parts(ground))
     images = [
@@ -447,7 +457,7 @@ def check_prop3(k: int, n: int, r: int, d: int) -> bool:
     r-hypersimplicial partitions of type (k, n) with winding number d.
     Subsets containing n (other than the full set) are first shifted away
     from n, which leaves their term unchanged."""
-    _require_r(r)
+    _require_ints(k=k, n=n, r=r, d=d)
     total = 0
     for mask in range(2**n):
         ground = _block_of_mask(mask)

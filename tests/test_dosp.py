@@ -40,7 +40,10 @@ def winding_inputs(draw):
 
 def _reference_dosp_from_winding_vector(w, k):
     """The per-spot list walk that dosp_from_winding_vector replaced, kept
-    as the reference for its results and its error messages."""
+    as the reference for its results and its error messages, after the
+    argument check of k."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
     w = tuple(w)
     n = len(w)
     if n == 0:
@@ -69,7 +72,11 @@ def _reference_dosp_from_winding_vector(w, k):
 
 def _reference_dosp_fault(blocks, gaps, k, n):
     """The itemized checks of Dosp.__post_init__: the message of the first
-    fault found, or None for a valid partition."""
+    fault found, or None for a valid partition; k and n, arguments rather
+    than items, are checked first."""
+    for name, value in (("k", k), ("n", n)):
+        if value < 1:
+            return f"{name} must be at least 1"
     if not blocks:
         return "at least one block is required"
     if len(blocks) != len(gaps):
@@ -153,7 +160,8 @@ class TestPolytopeSpec:
 
     @pytest.mark.parametrize("r,k,n", [(1, 2.0, 4), (1.0, 2, 4), (1, 2, 4.0)])
     def test_rejects_non_integer_fields(self, r, k, n):
-        with pytest.raises(TypeError, match="^r, k and n must be integers$"):
+        name = next(name for name, v in zip("rkn", (r, k, n)) if type(v) is not int)
+        with pytest.raises(TypeError, match=f"^{name} must be an integer$"):
             PolytopeSpec(r, k, n)
 
 
@@ -492,7 +500,7 @@ class TestDospValidation:
 
     def test_no_blocks(self):
         with pytest.raises(ValueError, match="at least one block"):
-            Dosp((), (), 0, 0)
+            Dosp((), (), 1, 1)
 
     def test_list_fields_are_stored_as_tuples(self):
         parsed = parse_dosp("({1,2}_2)", 2, 2)

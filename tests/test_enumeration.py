@@ -85,12 +85,14 @@ class TestStream:
 
     @pytest.mark.parametrize("length,bound,total", [(3, 2.0, 4), (3.0, 2, 4), (3, 2, 4.0)])
     def test_bounded_vectors_reject_non_integer_sizes(self, length, bound, total):
-        with pytest.raises(TypeError, match="^length, bound and total must be integers$"):
+        names = ("length", "bound", "total")
+        name = next(n for n, v in zip(names, (length, bound, total)) if type(v) is not int)
+        with pytest.raises(TypeError, match=f"^{name} must be an integer$"):
             list(bounded_vectors(length, bound, total))
 
     def test_bounded_vectors_reject_negative_sizes(self):
-        for length, bound in [(-1, 2), (2, -1)]:
-            with pytest.raises(ValueError, match="nonnegative"):
+        for length, bound, name in [(-1, 2, "length"), (2, -1, "bound")]:
+            with pytest.raises(ValueError, match=f"^{name} must be at least 0$"):
                 list(bounded_vectors(length, bound, 0))
 
 

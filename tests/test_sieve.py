@@ -656,11 +656,13 @@ class TestSecondWindingVector:
         [((1.0, 1, 1), 4, 1), ((1, 1, 1), 4.0, 1), ((1, 1, 1), 4, 1.0), ((1, 2, 0), 4, True)],
     )
     def test_rejects_non_integer_input(self, v, k, r):
-        # r has its own check and message, shared by every function taking r
-        if type(r) is int:
-            message = "^second winding entries, k and r must be integers$"
-        else:
+        # k and r are arguments, with the one message of every integer argument
+        if type(k) is not int:
+            message = "^k must be an integer$"
+        elif type(r) is not int:
             message = "^r must be an integer$"
+        else:
+            message = "^second winding entries must be integers$"
         with pytest.raises(TypeError, match=message):
             dosp_from_second_winding_vector(v, k, r, {1})
         with pytest.raises(TypeError, match=message):
@@ -668,7 +670,7 @@ class TestSecondWindingVector:
 
     def test_rejects_bool_k(self):
         # with no marked element the blue count True - 0 is the int 1
-        with pytest.raises(TypeError, match="^second winding entries, k and r must be integers$"):
+        with pytest.raises(TypeError, match="^k must be an integer$"):
             dosp_from_second_winding_vector((0,), True, 1, ())
 
     @pytest.mark.parametrize("r", [0, -1])
@@ -715,7 +717,7 @@ class TestSecondWindingReconstruction:
             dosp_from_second_winding_vector((1, 1, 0), 4, 1, {1})
 
     def test_stream_rejects_non_integer_k(self):
-        with pytest.raises(TypeError, match="must be integers"):
+        with pytest.raises(TypeError, match="^k must be an integer$"):
             list(enumerate_second_winding_vectors(4.0, 3, 1, 1, {1}))
 
     def test_round_trip_exhaustive(self):
