@@ -45,7 +45,6 @@ from .sieve import (
     dosp_from_second_winding_vector,
     dosps_with_bad_parts,
     enumerate_second_winding_vectors,
-    has_increasing_r_packed_gt1,
     run_free_family,
     second_winding_vector,
     sieve_term,

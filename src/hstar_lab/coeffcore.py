@@ -26,6 +26,8 @@ import math
 from collections import OrderedDict, namedtuple
 from itertools import chain, permutations
 
+from .dosp import _require_ints
+
 __all__ = [
     "restricted_coeff",
     "eulerian",
@@ -43,8 +45,10 @@ def restricted_coeff(n: int, b: int, a: int) -> int:
 
     Degenerate inputs follow fixed conventions: the result is 0 when a <= 0,
     when b < 0, or when b > n*(a-1); the n = 0 power is the constant 1.
-    These conventions make the alternating sums downstream finite.
+    These conventions make the alternating sums downstream finite, so only
+    the types of n, b and a are checked against the shared integer rule.
     """
+    _require_ints({}, n=n, b=b, a=a)
     if n < 0:
         raise ValueError("exponent n must be nonnegative")
     if a <= 0 or b < 0 or b > n * (a - 1):

@@ -268,7 +268,10 @@ def cyclic_shift_elements(partition: Dosp, s: int) -> Dosp:
 
 
 # least value of each integer argument by name; a name absent from the table is only type-checked
-_LEAST = {"k": 1, "n": 1, "r": 1, "d": 0, "m": 0, "t": 0, "length": 0, "bound": 0, "shift": 0}
+_LEAST = {
+    **dict.fromkeys(("k", "n", "r", "a"), 1),
+    **dict.fromkeys(("d", "m", "s", "t", "max_degree", "length", "bound", "shift"), 0),
+}
 
 
 def _require_ints(least: dict[str, int] = _LEAST, /, **values: int) -> None:

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .coeffcore import _power_row, restricted_coeff
-from .dosp import PolytopeSpec, _require_ints
+from .dosp import _LEAST, PolytopeSpec, _require_ints
 
 __all__ = [
     "HStarVector",
@@ -135,7 +135,7 @@ def check_lemma1(n: int, m: int, a: int) -> bool:
 
     for n, m, a >= 1.
     """
-    _require_ints(n=n, m=m)
+    _require_ints(n=n, m=m, a=a)
     lhs = restricted_coeff(n, m, a) - restricted_coeff(n, m - 1, a)
     rhs = restricted_coeff(n - 1, m, a) - restricted_coeff(n - 1, m - a, a)
     return lhs == rhs
@@ -151,7 +151,7 @@ def check_prop1(s: int, a: int, n: int, max_degree: int) -> bool:
     negative upper index are treated as zero, so calling with s > n reports
     the genuine failure instead of raising.  n may be 0, the empty power.
     """
-    _require_ints({"n": 0}, n=n)
+    _require_ints({**_LEAST, "n": 0}, s=s, a=a, n=n, max_degree=max_degree)
     lhs = _shifted_series(n, a, s, max_degree)[: max_degree + 1]
     rhs = [restricted_coeff(n, l * a - s, a) for l in range(max_degree + 1)]
     return lhs == rhs

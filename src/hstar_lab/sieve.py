@@ -10,15 +10,17 @@ contain every part of S; sieve_term is the signed sum of those family sizes
 over all S.  Every partition in the sieve can be spread into one whose forced
 elements are bad singleton blocks (spread_bad_parts); runs of consecutive
 marked singleton blocks at gap exactly r with increasing elements are the
-obstruction tracked by has_increasing_r_packed_gt1 and read off packed pairs
-(_packed_pairs).  Members without such runs are counted by second winding
+obstruction.  Every such run starts with a packed pair (_packed_pairs), and
+run_free_family, the one reader of run-freeness, drops the members carrying
+a pair of marked elements.  Run-free members are counted by second winding
 vectors, plain tuples like winding vectors: color the spot of each marked
 singleton and its r-1 trailing empties red, and record blue spots passed
-between consecutive elements.  Their bounds are checked where a vector is read
-off a partition or rebuilt into one, not on the stream, which is in bounds by
-construction.  check_prop3 and check_prop4 verify the two collapsing steps of
-the sieve, and sieve_term_closed_form is the resulting closed form, checked by
-the eq6 sweep.
+between consecutive elements.  dosp_from_second_winding_vector checks every
+bound of a vector it is given; second_winding_vector checks only the one its
+read-off can break, a zero entry for a marked element; the stream is in
+bounds by construction.  check_prop3 and check_prop4 verify the two
+collapsing steps of the sieve, and sieve_term_closed_form is the resulting
+closed form, checked by the eq6 sweep.
 
 The materialized families (dosp_family) are cached, at most 256, so a
 long-lived process keeps bounded memory.  Members are slotted records that
@@ -59,7 +61,6 @@ __all__ = [
     "dosps_with_bad_parts",
     "sieve_term",
     "sieve_term_closed_form",
-    "has_increasing_r_packed_gt1",
     "spread_bad_parts",
     "spread_image",
     "run_free_family",
@@ -128,7 +129,7 @@ class _Postings(NamedTuple):
     """Bitmask postings of one family for one r, bit i standing for the i-th
     member in stream order: all members, the members holding each r-bad
     block, and the members carrying each packed pair (e, f) (see
-    _packed_pairs with every singleton marked)."""
+    _packed_pairs)."""
 
     everyone: int
     by_block: dict[frozenset[int], int]
@@ -144,7 +145,6 @@ def _family_with_bad_blocks(k: int, n: int, d: int, r: int) -> _Postings:
     instead, verify --suite all ran 8 % slower (1.98 against 1.83 s, slower
     in 9 of 10 alternated runs; Python 3.11.7, 2 cores)."""
     family = dosp_family(k, n, d)
-    every = _block_of_mask((1 << n) - 1)
     by_block: dict[frozenset[int], int] = {}
     by_pair: dict[tuple[int, int], int] = {}
     bit = 1
@@ -154,7 +154,7 @@ def _family_with_bad_blocks(k: int, n: int, d: int, r: int) -> _Postings:
             by_block[block] = by_block.get(block, 0) | bit
         # both blocks of a packed pair are r-bad singletons
         if sum(len(block) == 1 for block in bad) > 1:
-            for pair in _packed_pairs(p, r, every):
+            for pair in _packed_pairs(p, r):
                 by_pair[pair] = by_pair.get(pair, 0) | bit
         bit <<= 1
     return _Postings(bit - 1, by_block, by_pair)
@@ -207,15 +207,6 @@ def sieve_term_closed_form(k: int, n: int, d: int, r: int, m: int) -> int:
     _require_ints(k=k, n=n, d=d, r=r, m=m)
     a = k - r * m
     return (-1) ** m * restricted_coeff(n, a * d - m, a)
-
-
-def has_increasing_r_packed_gt1(partition: Dosp, r: int, ground: Iterable[int]) -> bool:
-    """Whether the partition contains consecutive marked singleton blocks, two
-    or more, at gaps exactly r (the final gap at least r) whose elements
-    increase along the sequence.  Block indices are cyclic; every starting
-    position is scanned."""
-    ground = _require_ground(ground, partition.n, r)
-    return bool(_packed_pairs(partition, r, ground))
 
 
 def spread_bad_parts(partition: Dosp, r: int, parts) -> Dosp:
@@ -274,47 +265,19 @@ def run_free_family(k: int, n: int, d: int, r: int, ground: Iterable[int]) -> li
     return _members(dosp_family(k, n, d), mask)
 
 
-def _packed_pairs(partition: Dosp, r: int, ground: frozenset[int]) -> list[tuple[int, int]]:
-    """The packed pairs (e, f): consecutive marked singleton blocks {e}, {f}
+def _packed_pairs(partition: Dosp, r: int) -> list[tuple[int, int]]:
+    """The packed pairs (e, f): consecutive singleton blocks {e}, {f}
     (cyclic) with e < f, the gap of {e} exactly r and the gap of {f} at
-    least r.  A pair is a packed run of two, and any longer run starts with
-    one, since the gaps inside a run are exactly r."""
-    marked = [min(b) if len(b) == 1 and b <= ground else 0 for b in partition.blocks]
+    least r.  A pair with both elements marked is a packed run of two, and
+    any longer run starts with one, since the gaps inside a run are exactly
+    r."""
+    single = [min(b) if len(b) == 1 else 0 for b in partition.blocks]
     gaps = partition.gaps
     return [
         (e, f)
-        for e, f, gap, next_gap in zip(marked, marked[1:] + marked[:1], gaps, gaps[1:] + gaps[:1])
+        for e, f, gap, next_gap in zip(single, single[1:] + single[:1], gaps, gaps[1:] + gaps[:1])
         if gap == r and 0 < e < f and next_gap >= r
     ]
-
-
-def _check_second_winding_vector(v: tuple[int, ...], k: int, r: int, ground: frozenset[int]) -> int:
-    """Raise ValueError unless v is a second winding vector for circle size
-    k, r and the marked ground set, and return its blue spot count
-    k - r*|ground|: marked entries lie in 1..blue, the others in 0..blue-1,
-    and the entry sum is blue times the winding number.  k is tested inline
-    (prop5 calls this twice per member), then r, which must be at least 1 not
-    to lay marked spots over one another.  Raise TypeError before any walk."""
-    if not v:
-        raise ValueError("vector must be nonempty")
-    if type(k) is not int or k < 1:
-        _require_ints(k=k)
-    _require_ground(ground, len(v), r)
-    blue = k - r * len(ground)
-    if blue < 1:
-        raise ValueError("k - r*|ground| must be positive")
-    for i, vi in enumerate(v, start=1):
-        if i in ground:
-            if not 1 <= vi <= blue:
-                raise ValueError(f"entry v_{i}={vi} outside 1..{blue} for a marked element")
-        elif not 0 <= vi <= blue - 1:
-            raise ValueError(f"entry v_{i}={vi} outside 0..{blue - 1}")
-    total = sum(v)
-    if total % blue:
-        raise ValueError("entries must sum to a multiple of the blue spot count")
-    if type(total) is not int:
-        raise TypeError("second winding entries must be integers")
-    return blue
 
 
 def second_winding_vector(partition: Dosp, r: int, ground: Iterable[int]) -> tuple[int, ...]:
@@ -324,8 +287,12 @@ def second_winding_vector(partition: Dosp, r: int, ground: Iterable[int]) -> tup
     the two share a spot.
 
     Raises ValueError when a marked element is not a singleton block or lacks
-    the r-1 empty trailing spots, or when the vector read off breaks the
-    second-winding bounds, as a zero entry for a marked element does.
+    the r-1 empty trailing spots, or when a marked element shares its blue
+    spot with the next element, so that its entry reads 0.  That is the only
+    second-winding bound a vector read off can break: unmarked elements sit
+    on blue spots, so their entries stay below the blue count; marked
+    entries are at most the blue count; the sum is the blue count times the
+    winding number; and n, unmarked, leaves at least one blue spot.
     """
     ground = _require_ground(ground, partition.n, r)
     k = partition.k
@@ -360,7 +327,9 @@ def second_winding_vector(partition: Dosp, r: int, ground: Iterable[int]) -> tup
             for start, end in zip(spots, spots[1:] + spots[:1])
         ]
     )
-    _check_second_winding_vector(v, k, r, ground)
+    zero = min((t for t in ground if not v[t - 1]), default=0)
+    if zero:
+        raise ValueError(f"entry v_{zero}=0 outside 1..{blue} for a marked element")
     return v
 
 
@@ -377,11 +346,30 @@ def dosp_from_second_winding_vector(
     1 on spot 0, as that builder requires.  Inverse of
     second_winding_vector; v may be any sequence and ground any iterable.
     ValueError or TypeError is raised, before any walk, when they break the
-    second-winding bounds or v, k or r is not integer.
+    second-winding bounds or v, k or r is not integer: marked entries lie in
+    1..blue, the others in 0..blue-1, and the entry sum is blue times the
+    winding number, where blue = k - r*|ground| is the blue spot count.  r
+    must be at least 1 not to lay marked spots over one another.
     """
     v = tuple(v)
-    ground = frozenset(ground)
-    blue = _check_second_winding_vector(v, k, r, ground)
+    if not v:
+        raise ValueError("vector must be nonempty")
+    if type(k) is not int or k < 1:  # inline: prop5 calls this once per member
+        _require_ints(k=k)
+    ground = _require_ground(ground, len(v), r)
+    blue = k - r * len(ground)
+    if blue < 1:
+        raise ValueError("k - r*|ground| must be positive")
+    for i, vi in enumerate(v, start=1):
+        if type(vi) is not int:
+            raise TypeError("second winding entries must be integers")
+        if i in ground:
+            if not 1 <= vi <= blue:
+                raise ValueError(f"entry v_{i}={vi} outside 1..{blue} for a marked element")
+        elif not 0 <= vi <= blue - 1:
+            raise ValueError(f"entry v_{i}={vi} outside 0..{blue - 1}")
+    if sum(v) % blue:
+        raise ValueError("entries must sum to a multiple of the blue spot count")
     on_blue = _walk(v, blue)
     # each blue spot expands to one spot, holding its unmarked elements if
     # any, followed by r spots per marked element, largest first
@@ -435,10 +423,11 @@ def check_prop4(k: int, n: int, d: int, r: int, ground: Iterable[int]) -> bool:
         (len(parts), spread_image(k, n, d, r, parts))
         for parts in unordered_partitions(ground)
     ]
+    run_free = set(run_free_family(k, n, d, r, ground))
     sign = (-1) ** len(ground)
     for p in base:
         signed = sum((-1) ** size for size, image in images if p in image)
-        expected = 0 if has_increasing_r_packed_gt1(p, r, ground) else sign
+        expected = sign if p in run_free else 0
         if signed != expected:
             return False
     return True

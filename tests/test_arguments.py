@@ -1,11 +1,13 @@
 """Each argument rule has one check and one message.  Every integer argument
-is an int (a bool is not) of at least its least value: k, n and r at least 1;
-d, m, t, length, bound and shift at least 0.  A marked ground set holds ints
-in 1..n-1, and the ground of sieve_term and the parts of dosps_with_bad_parts
-hold ints in 1..n."""
+is an int (a bool is not) of at least its least value: k, n, r and a at least
+1; d, m, s, t, max_degree, length, bound and shift at least 0.  The arguments
+of restricted_coeff are only type-checked, since its degenerate values have
+fixed conventions.  A marked ground set holds ints in 1..n-1, and the ground
+of sieve_term and the parts of dosps_with_bad_parts hold ints in 1..n."""
 
 import pytest
 
+from hstar_lab.coeffcore import restricted_coeff
 from hstar_lab.dosp import (
     Dosp,
     PolytopeSpec,
@@ -30,7 +32,6 @@ from hstar_lab.sieve import (
     dosp_from_second_winding_vector,
     dosps_with_bad_parts,
     enumerate_second_winding_vectors,
-    has_increasing_r_packed_gt1,
     run_free_family,
     second_winding_vector,
     sieve_term,
@@ -53,7 +54,6 @@ TAKES_R = {
     "dosps_with_bad_parts": lambda r: dosps_with_bad_parts(K, N, D, r, [{1}]),
     "sieve_term": lambda r: sieve_term(K, N, D, r, {1}),
     "sieve_term_closed_form": lambda r: sieve_term_closed_form(K, N, D, r, 1),
-    "has_increasing_r_packed_gt1": lambda r: has_increasing_r_packed_gt1(P, r, {1}),
     "spread_bad_parts": lambda r: spread_bad_parts(P, r, [{1}]),
     "spread_image": lambda r: spread_image(K, N, D, r, [{1}]),
     "run_free_family": lambda r: run_free_family(K, N, D, r, {1}),
@@ -68,7 +68,6 @@ TAKES_R = {
 
 # every public function that takes a marked ground set, called on the spec
 TAKES_GROUND = {
-    "has_increasing_r_packed_gt1": lambda g: has_increasing_r_packed_gt1(P, 1, g),
     "spread_bad_parts": lambda g: spread_bad_parts(P, 1, [g]),
     "run_free_family": lambda g: run_free_family(K, N, D, 1, g),
     "second_winding_vector": lambda g: second_winding_vector(P, 1, g),
@@ -86,9 +85,10 @@ TAKES_ELEMENTS_UP_TO_N = {
     "dosps_with_bad_parts": lambda g: dosps_with_bad_parts(K, N, D, 1, [g]),
 }
 
-# every public function that takes k, n, d, m, t, length, bound or shift:
-# (function, argument) -> (least value, a call, valid at the least value,
-# on the spec above or, where that value breaks it, on a smaller one)
+# every public function that takes k, n, d, m, t, a, s, max_degree, length,
+# bound or shift: (function, argument) -> (least value, a call, valid at the
+# least value, on the spec above or, where that value breaks it, on a smaller
+# one)
 TAKES_SIZES = {
     ("Dosp", "k"): (1, lambda k: Dosp((frozenset({1}),), (1,), k, 1)),
     ("Dosp", "n"): (1, lambda n: Dosp((frozenset({1}),), (1,), 1, n)),
@@ -112,8 +112,12 @@ TAKES_SIZES = {
     ("count_dosps", "d"): (0, lambda d: count_dosps(K, N, d)),
     ("check_lemma1", "n"): (1, lambda n: check_lemma1(n, 2, 2)),
     ("check_lemma1", "m"): (0, lambda m: check_lemma1(N, m, 2)),
+    ("check_lemma1", "a"): (1, lambda a: check_lemma1(N, 2, a)),
+    ("check_prop1", "s"): (0, lambda s: check_prop1(s, 2, N, 4)),
+    ("check_prop1", "a"): (1, lambda a: check_prop1(0, a, N, 4)),
     # the series-shift identity holds for the empty power, n = 0
     ("check_prop1", "n"): (0, lambda n: check_prop1(0, 2, n, 4)),
+    ("check_prop1", "max_degree"): (0, lambda top: check_prop1(0, 2, N, top)),
     ("lattice_count", "t"): (0, lambda t: lattice_count(SPEC, t)),
     ("lattice_count_direct", "t"): (0, lambda t: lattice_count_direct(SPEC, t)),
     ("dosp_family", "k"): (1, lambda k: dosp_family(k, N, D)),
@@ -198,6 +202,15 @@ def test_polytope_spec_refuses_non_integers_with_the_template_message(name, valu
     fields = {"r": 1, "k": 2, "n": N, name: value}
     with pytest.raises(TypeError, match=f"^{name} must be an integer$"):
         PolytopeSpec(**fields)
+
+
+@pytest.mark.parametrize("name", "nba")
+@pytest.mark.parametrize("value", [True, 1.5])
+def test_restricted_coeff_refuses_non_integers_with_the_template_message(name, value):
+    # only the types are shared: its zero conventions cover the ranges
+    fields = {"n": 3, "b": 1, "a": 2, name: value}
+    with pytest.raises(TypeError, match=f"^{name} must be an integer$"):
+        restricted_coeff(**fields)
 
 
 @pytest.mark.parametrize("name", TAKES_GROUND)

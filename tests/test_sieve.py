@@ -22,9 +22,9 @@ from hstar_lab.dosp import (
 from hstar_lab.enumeration import enumerate_winding_vectors, iter_dosps
 from hstar_lab.hstar import count_dosps
 from hstar_lab.sieve import (
-    _check_second_winding_vector,
     _family_with_bad_blocks,
     _normalize_parts,
+    _packed_pairs,
     _require_ground,
     check_prop3,
     check_prop4,
@@ -32,7 +32,6 @@ from hstar_lab.sieve import (
     dosp_from_second_winding_vector,
     dosps_with_bad_parts,
     enumerate_second_winding_vectors,
-    has_increasing_r_packed_gt1,
     run_free_family,
     second_winding_vector,
     sieve_term,
@@ -52,8 +51,7 @@ def _ordered_packed_runs(partition, r, ground):
     following links: block i links to block i+1 (cyclic) when both are
     marked singletons, the gap at i is exactly r and the elements increase.
     Every marked element, required to be a singleton block, lies in exactly
-    one run.  The reference for has_increasing_r_packed_gt1, which reads
-    packed pairs instead, and the run criterion of _reference_chi_by_runs."""
+    one run.  The run criterion of _reference_chi_by_runs."""
     m = len(partition.blocks)
     marked = [min(b) if len(b) == 1 and b <= ground else 0 for b in partition.blocks]
     following = marked[1:] + marked[:1]
@@ -204,7 +202,7 @@ class TestMemberScanReferences:
                             assert run_free_family(k, n, d, r, ground) == [
                                 p
                                 for p in scan(singles(ground))
-                                if not _reference_has_increasing_r_packed_gt1(p, r, ground)
+                                if not _reference_has_increasing_run(p, r, ground)
                             ]
         # r, k, then d and the set partitions of each ground, by size 0..3
         assert checked == 3 * 6 * sum(
@@ -251,7 +249,7 @@ class TestFamilyCaches:
                             assert carried == [
                                 pair
                                 for pair in pairs
-                                if _reference_has_increasing_r_packed_gt1(p, r, pair)
+                                if _reference_has_increasing_run(p, r, pair)
                             ]
 
     def test_verify_builds_each_family_once(self, capsys, monkeypatch):
@@ -411,9 +409,11 @@ class TestSieveTerm:
                         assert sieve_term(k, n, d, r, shifted) == base
 
 
-def _reference_has_increasing_r_packed_gt1(partition, r, ground):
-    """The offset walk from each marked singleton that
-    has_increasing_r_packed_gt1 replaced, kept as the reference for it."""
+def _reference_has_increasing_run(partition, r, ground):
+    """Whether the partition carries consecutive marked singleton blocks, two
+    or more, at gaps exactly r (the final gap at least r) with increasing
+    elements, by an offset walk from each marked singleton: the reference
+    for the packed-pair postings that run_free_family reads."""
     ground = frozenset(ground)
     m = len(partition.blocks)
     if m < 2:
@@ -438,7 +438,9 @@ class TestPackedRuns:
     def test_increasing_run_detected(self):
         p = parse_dosp("({1}_2,{2}_2,{3}_2,{4,7,8,9}_1,{5}_2,{6}_2,{10,11,12}_1)", 12, 12)
         ground = {1, 2, 3, 5}
-        assert has_increasing_r_packed_gt1(p, 2, ground)
+        # the family of type (12, 12) is too large to list, so the pairs
+        # that run_free_family reads off the postings are read directly
+        assert _packed_pairs(p, 2) == [(1, 2), (2, 3), (5, 6)]
         # {6} is not marked, so ({5},{6}) is not a packed run
         assert packed_run_partition(p, 2, ground) == (
             frozenset({1, 2, 3}),
@@ -446,25 +448,18 @@ class TestPackedRuns:
         )
 
     def test_decreasing_pair_is_not_increasing(self):
-        assert not has_increasing_r_packed_gt1(running_example(), 2, {1, 2, 9})
-
-    def test_run_must_be_marked_singlets(self):
-        # 2 sits in a non-singleton block, so no run forms through it
-        p = parse_dosp("({1}_1,{2,3}_1,{4}_2)", 4, 4)
-        assert not has_increasing_r_packed_gt1(p, 1, {1, 2})
+        # ({2},{1}) sits at gap exactly 2, but 2 > 1: the running example, of
+        # a family too large to list, carries no packed pair
+        assert _packed_pairs(running_example(), 2) == []
 
     def test_gap_must_be_exact(self):
         # first gap 2 > r = 1 breaks the run even though both are marked
         p = parse_dosp("({1}_2,{2}_1,{3,4}_1)", 4, 4)
-        assert not has_increasing_r_packed_gt1(p, 1, {1, 2})
+        assert p in run_free_family(4, 4, winding_number(p), 1, {1, 2})
         # at gap exactly 1 the pair is a run
         q = parse_dosp("({1}_1,{2}_2,{3,4}_1)", 4, 4)
-        assert has_increasing_r_packed_gt1(q, 1, {1, 2})
-
-    def test_rejects_ground_outside_range(self):
-        p = parse_dosp("({1}_1,{2}_1,{3,4}_1)", 3, 4)
-        with pytest.raises(ValueError, match="^ground element 9 outside 1..4$"):
-            has_increasing_r_packed_gt1(p, 1, {9})
+        assert q in dosps_with_bad_parts(4, 4, winding_number(q), 1, singles({1, 2}))
+        assert q not in run_free_family(4, 4, winding_number(q), 1, {1, 2})
 
     def test_run_partition_requires_singletons(self):
         with pytest.raises(ValueError, match="not singleton"):
@@ -474,26 +469,6 @@ class TestPackedRuns:
         # {1} has gap 1 < r = 2, so it is not a valid marked singleton
         with pytest.raises(ValueError, match="gap below"):
             packed_run_partition(parse_dosp("({1}_1,{2,3}_2)", 3, 3), 2, {1})
-
-    def test_matches_offset_walk(self):
-        # every partition with k <= 5 and n <= 6, r <= 3, and every ground of
-        # size <= 3 avoiding n, marked elements in bad singletons or not
-        checked = hits = 0
-        for k in range(1, 6):
-            for n in range(1, 7):
-                grounds = [
-                    frozenset(g) for m in range(4) for g in combinations(range(1, n), m)
-                ]
-                cases = [(r, ground) for r in (1, 2, 3) for ground in grounds]
-                for d in range(n):
-                    for p in dosp_family(k, n, d):
-                        got = [has_increasing_r_packed_gt1(p, r, g) for r, g in cases]
-                        want = [_reference_has_increasing_r_packed_gt1(p, r, g) for r, g in cases]
-                        assert got == want, p
-                        checked += len(got)
-                        hits += sum(got)
-        assert checked == 395_370
-        assert hits == 4_610
 
 
 class TestSpread:
@@ -593,7 +568,8 @@ class TestRunFreeFamily:
             frozenset({t}) in p.blocks and p.gaps[p.blocks.index(frozenset({t}))] >= 2
             for t in ground
         )
-        assert not has_increasing_r_packed_gt1(p, 2, ground)
+        # the family of type (12, 14) is too large to list: no packed pair
+        assert _packed_pairs(p, 2) == []
 
     def test_rejects_ground_containing_n(self):
         with pytest.raises(ValueError):
@@ -653,7 +629,13 @@ class TestSecondWindingVector:
 
     @pytest.mark.parametrize(
         "v,k,r",
-        [((1.0, 1, 1), 4, 1), ((1, 1, 1), 4.0, 1), ((1, 1, 1), 4, 1.0), ((1, 2, 0), 4, True)],
+        [
+            ((1.0, 1, 1), 4, 1),
+            ((True, 1, 1), 4, 1),
+            ((1, 1, 1), 4.0, 1),
+            ((1, 1, 1), 4, 1.0),
+            ((1, 2, 0), 4, True),
+        ],
     )
     def test_rejects_non_integer_input(self, v, k, r):
         # k and r are arguments, with the one message of every integer argument
@@ -665,8 +647,6 @@ class TestSecondWindingVector:
             message = "^second winding entries must be integers$"
         with pytest.raises(TypeError, match=message):
             dosp_from_second_winding_vector(v, k, r, {1})
-        with pytest.raises(TypeError, match=message):
-            _check_second_winding_vector(v, k, r, frozenset({1}))
 
     def test_rejects_bool_k(self):
         # with no marked element the blue count True - 0 is the int 1
@@ -678,8 +658,6 @@ class TestSecondWindingVector:
         # r < 1 would lay marked elements over one another in the spot list
         with pytest.raises(ValueError, match="^r must be at least 1$"):
             dosp_from_second_winding_vector((1, 1, 1), 3, r, {2})
-        with pytest.raises(ValueError, match="^r must be at least 1$"):
-            _check_second_winding_vector((1, 1, 1), 3, r, frozenset({2}))
 
     def test_rejects_non_integer_r_before_the_walk(self):
         p = parse_dosp("({1}_2,{2,3}_1,{4}_1)", 4, 4)
@@ -752,7 +730,8 @@ class TestSecondWindingReconstruction:
 
 def _reference_second_winding_vector(partition, r, ground):
     """The per-spot walk that second_winding_vector replaced, followed by
-    the same bounds check."""
+    every second-winding bounds check, raised through
+    dosp_from_second_winding_vector."""
     ground = frozenset(ground)
     _require_ground(ground, partition.n, r)
     diagram = SpotDiagram.from_dosp(partition)
@@ -773,7 +752,7 @@ def _reference_second_winding_vector(partition, r, ground):
         dist = (end - start) % k
         v.append(sum(1 for s in range(1, dist + 1) if (start + s) % k not in red))
     v = tuple(v)
-    _check_second_winding_vector(v, k, r, ground)
+    dosp_from_second_winding_vector(v, k, r, ground)
     return v
 
 
