@@ -11,7 +11,6 @@ inclusion-exclusion argument that makes the first two agree.
 from .coeffcore import eulerian, eulerian_by_enumeration, restricted_coeff
 from .dosp import (
     Dosp,
-    PolytopeSpec,
     cyclic_shift_elements,
     dosp_from_winding_vector,
     format_dosp,
@@ -29,7 +28,6 @@ from .enumeration import (
     iter_dosps,
 )
 from .hstar import (
-    HStarVector,
     check_lemma1,
     check_prop1,
     count_dosps,
@@ -53,5 +51,6 @@ from .sieve import (
     spread_image,
     unordered_partitions,
 )
+from .spec import HStarVector, PolytopeSpec
 
 __version__ = "0.1.0"

@@ -17,7 +17,6 @@ from itertools import combinations, product
 
 from .coeffcore import eulerian, eulerian_by_enumeration
 from .dosp import (
-    PolytopeSpec,
     dosp_from_winding_vector,
     format_dosp,
     is_r_hypersimplicial,
@@ -36,6 +35,7 @@ from .sieve import (
     sieve_term,
     sieve_term_closed_form,
 )
+from .spec import PolytopeSpec
 
 _JSON_SAFE_MAX = 2**53 - 1
 

@@ -26,7 +26,7 @@ import math
 from collections import OrderedDict, namedtuple
 from itertools import chain, permutations
 
-from .dosp import _require_ints
+from .spec import _require_ints
 
 __all__ = [
     "restricted_coeff",

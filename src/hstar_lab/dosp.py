@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
+from .spec import _require_ints
+
 __all__ = [
-    "PolytopeSpec",
     "Dosp",
     "parse_dosp",
     "format_dosp",
@@ -33,25 +34,6 @@ __all__ = [
     "r_bad_blocks",
     "is_r_hypersimplicial",
 ]
-
-
-@dataclass(frozen=True)
-class PolytopeSpec:
-    """The slice of the cube [0, r]**n at coordinate sum k; r = 1 gives the
-    hypersimplex.  Requires ints with 0 < k < r*n so the slice has dimension n - 1."""
-
-    r: int
-    k: int
-    n: int
-
-    def __post_init__(self):
-        _require_ints({}, r=self.r, k=self.k, n=self.n)  # types only: the CLI prints the ranges
-        if self.r < 1:
-            raise ValueError("coordinate cap r must be at least 1")
-        if self.n < 2:
-            raise ValueError("ambient dimension n must be at least 2")
-        if not 0 < self.k < self.r * self.n:
-            raise ValueError(f"slice level k={self.k} must satisfy 0 < k < r*n = {self.r * self.n}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -265,24 +247,6 @@ def cyclic_shift_elements(partition: Dosp, s: int) -> Dosp:
         raise ValueError(f"shift must lie in 0..{n - 1}")
     blocks = tuple(frozenset((e - 1 + s) % n + 1 for e in block) for block in partition.blocks)
     return Dosp(blocks, partition.gaps, partition.k, n)
-
-
-# least value of each integer argument by name; a name absent from the table is only type-checked
-_LEAST = {
-    **dict.fromkeys(("k", "n", "r", "a"), 1),
-    **dict.fromkeys(("d", "m", "s", "t", "max_degree", "length", "bound", "shift"), 0),
-}
-
-
-def _require_ints(least: dict[str, int] = _LEAST, /, **values: int) -> None:
-    """Raise TypeError("<name> must be an integer") unless each named value is an
-    int (a bool is not), ValueError("<name> must be at least <low>") below least[name]."""
-    for name in values:
-        value = values[name]
-        if type(value) is not int:
-            raise TypeError(f"{name} must be an integer")
-        if name in least and value < least[name]:
-            raise ValueError(f"{name} must be at least {least[name]}")
 
 
 def r_bad_blocks(partition: Dosp, r: int) -> frozenset[frozenset[int]]:

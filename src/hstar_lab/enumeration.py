@@ -11,14 +11,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .dosp import (
-    Dosp,
-    PolytopeSpec,
-    _require_ints,
-    dosp_from_winding_vector,
-    is_r_hypersimplicial,
-)
-from .hstar import HStarVector
+from .dosp import Dosp, dosp_from_winding_vector, is_r_hypersimplicial
+from .spec import HStarVector, PolytopeSpec, _require_ints
 
 __all__ = [
     "bounded_vectors",

@@ -23,44 +23,17 @@ coefficient rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .coeffcore import _power_row, restricted_coeff
-from .dosp import _LEAST, PolytopeSpec, _require_ints
+from .spec import _LEAST, HStarVector, PolytopeSpec, _require_ints
 
 __all__ = [
-    "HStarVector",
     "hstar_closed_form",
     "raw_series_numerator",
     "count_dosps",
     "check_lemma1",
     "check_prop1",
 ]
-
-
-@dataclass(frozen=True)
-class HStarVector:
-    """Entries h*_0 .. h*_{n-1} of the Ehrhart series numerator of a slice.
-
-    Entries are nonnegative integers with h*_0 = 1; their sum is the
-    normalized volume of the slice.  Any sequence is stored as a tuple.
-    """
-
-    entries: tuple[int, ...]
-    spec: PolytopeSpec
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if len(self.entries) != self.spec.n:
-            raise ValueError("one entry per degree 0..n-1 is required")
-        if any(e < 0 for e in self.entries):
-            raise ValueError("h*-vector entries must be nonnegative")
-        if self.entries[0] != 1:
-            raise ValueError("h*_0 must be 1")
-
-    def total(self) -> int:
-        """Sum of the entries, the normalized volume."""
-        return sum(self.entries)
 
 
 def hstar_closed_form(spec: PolytopeSpec) -> HStarVector:

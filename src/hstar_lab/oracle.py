@@ -18,8 +18,7 @@ from functools import lru_cache
 from itertools import repeat
 from operator import mul
 
-from .dosp import PolytopeSpec, _require_ints
-from .hstar import HStarVector
+from .spec import HStarVector, PolytopeSpec, _require_ints
 
 __all__ = ["lattice_count", "lattice_count_direct", "hstar_from_oracle"]
 

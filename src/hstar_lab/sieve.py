@@ -2,7 +2,7 @@
 r-hypersimplicial count.
 
 The sieve works over a ground set T of elements in 1..n-1 that are forced to
-sit in r-bad blocks.  Integer arguments are checked by dosp._require_ints and
+sit in r-bad blocks.  Integer arguments are checked by spec._require_ints and
 the elements of T, or of parts, by _require_ground; dosps_with_bad_parts and
 sieve_term, which check_prop3 gives {1..n}, also accept n.  For a set
 partition S of T, dosps_with_bad_parts lists the partitions whose r-bad blocks
@@ -11,7 +11,7 @@ over all S.  Every partition in the sieve can be spread into one whose forced
 elements are bad singleton blocks (spread_bad_parts); runs of consecutive
 marked singleton blocks at gap exactly r with increasing elements are the
 obstruction.  Every such run starts with a packed pair (_packed_pairs), and
-run_free_family, the one reader of run-freeness, drops the members carrying
+_run_free, the one reader of the pair postings, drops the members carrying
 a pair of marked elements.  Run-free members are counted by second winding
 vectors, plain tuples like winding vectors: color the spot of each marked
 singleton and its r-1 trailing empties red, and record blue spots passed
@@ -48,11 +48,11 @@ from .dosp import (
     _block_of_mask,
     _dosp_from_spot_masks,
     _element_spots,
-    _require_ints,
     _walk,
     r_bad_blocks,
 )
 from .enumeration import bounded_vectors, count_r_hypersimplicial, iter_dosps
+from .spec import _require_ints
 
 __all__ = [
     "SetPartition",
@@ -140,8 +140,8 @@ class _Postings(NamedTuple):
 def _family_with_bad_blocks(k: int, n: int, d: int, r: int) -> _Postings:
     """The postings of dosp_family(k, n, d) for r, built in one pass over the
     family, with no reference to the members themselves.  The default verify
-    bounds need 240 entries.  Only run_free_family reads the pair postings,
-    but they pay for themselves: with it reading pairs off each member
+    bounds need 240 entries.  Only _run_free reads the pair postings, but
+    they pay for themselves: with run_free_family reading pairs off each member
     instead, verify --suite all ran 8 % slower (1.98 against 1.83 s, slower
     in 9 of 10 alternated runs; Python 3.11.7, 2 cores)."""
     family = dosp_family(k, n, d)
@@ -259,10 +259,15 @@ def run_free_family(k: int, n: int, d: int, r: int, ground: Iterable[int]) -> li
     ground = _require_ground(ground, n, r)
     postings = _family_with_bad_blocks(k, n, d, r)
     mask = _holding(postings, _singleton_parts(ground))
+    return _members(dosp_family(k, n, d), _run_free(postings, ground, mask))
+
+
+def _run_free(postings: _Postings, ground: frozenset[int], mask: int) -> int:
+    """mask less the members carrying a packed pair of marked elements."""
     for (e, f), carriers in postings.by_pair.items():
         if e in ground and f in ground:
             mask &= ~carriers
-    return _members(dosp_family(k, n, d), mask)
+    return mask
 
 
 def _packed_pairs(partition: Dosp, r: int) -> list[tuple[int, int]]:
@@ -418,14 +423,16 @@ def check_prop4(k: int, n: int, d: int, r: int, ground: Iterable[int]) -> bool:
     collapse to (-1)**|ground| on run-free members and to 0 otherwise."""
     _require_ints(k=k, n=n, d=d)
     ground = _require_ground(ground, n, r)
-    base = dosps_with_bad_parts(k, n, d, r, _singleton_parts(ground))
+    postings = _family_with_bad_blocks(k, n, d, r)
+    family = dosp_family(k, n, d)
+    base = _holding(postings, _singleton_parts(ground))
     images = [
         (len(parts), spread_image(k, n, d, r, parts))
         for parts in unordered_partitions(ground)
     ]
-    run_free = set(run_free_family(k, n, d, r, ground))
+    run_free = set(_members(family, _run_free(postings, ground, base)))
     sign = (-1) ** len(ground)
-    for p in base:
+    for p in _members(family, base):
         signed = sum((-1) ** size for size, image in images if p in image)
         expected = sign if p in run_free else 0
         if signed != expected:

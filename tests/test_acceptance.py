@@ -5,7 +5,6 @@ from itertools import combinations
 
 from hstar_lab.coeffcore import eulerian, eulerian_by_enumeration
 from hstar_lab.dosp import (
-    PolytopeSpec,
     cyclic_shift_elements,
     dosp_from_winding_vector,
     format_dosp,
@@ -32,6 +31,7 @@ from hstar_lab.sieve import (
     sieve_term,
     sieve_term_closed_form,
 )
+from hstar_lab.spec import PolytopeSpec
 
 
 def report(criterion: str, failures: list) -> None:

@@ -10,7 +10,6 @@ import pytest
 from hstar_lab.coeffcore import restricted_coeff
 from hstar_lab.dosp import (
     Dosp,
-    PolytopeSpec,
     cyclic_shift_elements,
     dosp_from_winding_vector,
     is_r_hypersimplicial,
@@ -39,6 +38,7 @@ from hstar_lab.sieve import (
     spread_bad_parts,
     spread_image,
 )
+from hstar_lab.spec import PolytopeSpec
 
 # one spec for every call: type (4, 3), winding number 1, element 1 marked
 K, N, D = 4, 3, 1

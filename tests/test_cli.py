@@ -8,8 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hstar_lab import cli
-from hstar_lab.dosp import PolytopeSpec
-from hstar_lab.hstar import HStarVector
+from hstar_lab.spec import HStarVector, PolytopeSpec
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "cli-schema.json").read_text(

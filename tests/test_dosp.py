@@ -6,7 +6,6 @@ from hypothesis import given, assume, strategies as st
 from hstar_lab import dosp
 from hstar_lab.dosp import (
     Dosp,
-    PolytopeSpec,
     cyclic_shift_elements,
     dosp_from_winding_vector,
     format_dosp,
@@ -20,6 +19,7 @@ from hstar_lab.dosp import (
     _gaps_between,
 )
 from hstar_lab.enumeration import enumerate_winding_vectors, iter_dosps
+from hstar_lab.spec import PolytopeSpec
 from spot_diagram import SpotDiagram
 
 EX1 = "({1,2,7}_2,{3,5}_3,{4,6}_1)"

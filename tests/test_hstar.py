@@ -6,15 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from hstar_lab import coeffcore, hstar
 from hstar_lab.coeffcore import _power_row, eulerian, restricted_coeff
-from hstar_lab.dosp import PolytopeSpec
 from hstar_lab.hstar import (
-    HStarVector,
     check_lemma1,
     check_prop1,
     hstar_closed_form,
     raw_series_numerator,
 )
 from hstar_lab.oracle import hstar_from_oracle
+from hstar_lab.spec import HStarVector, PolytopeSpec
 
 
 class TestClosedForm:
