@@ -178,18 +178,14 @@ def _grounds(n: int, max_size: int):
 
 def _sieve_cases(max_n, max_k, max_r, ground_size=None, capped=False):
     """Cases (k, n, r, d), or (k, n, r, d, ground) over _grounds when
-    ground_size is given; capped keeps k below r*n."""
-    for r in range(1, max_r + 1):
-        for n in range(2, max_n + 1):
-            if ground_size is None:
-                extras = [()]
-            else:
-                extras = [(ground,) for ground in _grounds(n, ground_size)]
-            top_k = min(max_k, r * n - 1) if capped else max_k
-            for k in range(1, top_k + 1):
-                for extra in extras:
-                    for d in range(0, n):
-                        yield (k, n, r, d, *extra)
+    ground_size is given; capped keeps k below r*n.  The cases of one family
+    (k, n, d) run back to back, so a sweep whose families pass the sieve's
+    cache budget still builds each family once."""
+    for n in range(2, max_n + 1):
+        extras = [()] if ground_size is None else [(g,) for g in _grounds(n, ground_size)]
+        for k, d, r, extra in product(range(1, max_k + 1), range(n), range(1, max_r + 1), extras):
+            if not capped or k < r * n:
+                yield (k, n, r, d, *extra)
 
 
 def _check_prop4(k, n, r, d, ground) -> bool:

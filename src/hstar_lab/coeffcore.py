@@ -14,19 +14,18 @@ recurrence Q P' = n Q' P for P = Q**n, Q = (1 - t**a)/(1 - t) (Knuth, TAOCP
 vol. 2, section 4.7).  Every division by j is exact.  The row is a
 palindrome, so only its first half is computed and the second half is its
 mirror image.  The half runs in two loops, j < a with one term and j >= a
-with all three, so no step tests which terms it has.  Rows are kept in a
-least-recently-used cache bounded by stored size, not by row count: each row
-is charged an upper bound on its bytes, and the oldest rows are evicted once
-the total passes _ROW_CACHE_BYTES.
+with all three, so no step tests which terms it has.  Rows are kept in the
+size-bounded cache of spec._lru_by_size, not in one bounded by row count:
+each row is charged an upper bound on its bytes, and the oldest rows are
+evicted once the total passes _ROW_CACHE_BYTES.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, namedtuple
 from itertools import chain, permutations
 
-from .spec import _require_ints
+from .spec import _lru_by_size, _require_ints
 
 __all__ = [
     "restricted_coeff",
@@ -36,8 +35,6 @@ __all__ = [
 
 # stored-size bound of the _power_row cache, in bytes
 _ROW_CACHE_BYTES = 32 << 20
-
-_RowCacheInfo = namedtuple("_RowCacheInfo", "hits misses currsize nbytes maxbytes")
 
 
 def restricted_coeff(n: int, b: int, a: int) -> int:
@@ -56,48 +53,17 @@ def restricted_coeff(n: int, b: int, a: int) -> int:
     return _power_row(n, a)[b]
 
 
-_rows: OrderedDict = OrderedDict()  # (n, a) -> (row, charged bytes), oldest first
-_row_stats = [0, 0, 0]  # hits, misses, charged bytes held
+def _row_bytes(row: tuple[int, ...]) -> int:
+    # an upper bound: the cache entry and the tuple, plus one int per entry of
+    # the first half (the mirror shares them), none wider than the middle one
+    # (4 bytes per 30-bit digit, 28-byte header, 16-byte alignment)
+    half = len(row) // 2
+    return 256 + 8 * len(row) + (half + 1) * (40 + row[half].bit_length() // 30 * 4)
 
 
+@_lru_by_size(_row_bytes, lambda: _ROW_CACHE_BYTES)
 def _power_row(n: int, a: int) -> tuple[int, ...]:
     """All coefficients of (1 + t + ... + t**(a-1))**n, n >= 0 and a >= 1."""
-    key = (n, a)
-    entry = _rows.get(key)
-    if entry is not None:
-        _rows.move_to_end(key)
-        _row_stats[0] += 1
-        return entry[0]
-    _row_stats[1] += 1
-    row = _build_power_row(n, a)
-    # charged bytes, an upper bound: the cache entry and the tuple, plus one
-    # int per entry of the first half (the mirror shares them), none wider
-    # than the middle one (4 bytes per 30-bit digit, 28-byte header, 16-byte
-    # alignment)
-    half = len(row) // 2
-    size = 256 + 8 * len(row) + (half + 1) * (40 + row[half].bit_length() // 30 * 4)
-    _rows[key] = (row, size)
-    _row_stats[2] += size
-    while _row_stats[2] > _ROW_CACHE_BYTES and len(_rows) > 1:
-        _row_stats[2] -= _rows.popitem(last=False)[1][1]
-    return row
-
-
-def _cache_info() -> _RowCacheInfo:
-    hits, misses, nbytes = _row_stats
-    return _RowCacheInfo(hits, misses, len(_rows), nbytes, _ROW_CACHE_BYTES)
-
-
-def _cache_clear() -> None:
-    _rows.clear()
-    _row_stats[:] = [0, 0, 0]
-
-
-_power_row.cache_info = _cache_info
-_power_row.cache_clear = _cache_clear
-
-
-def _build_power_row(n: int, a: int) -> tuple[int, ...]:
     # With Q = (1 - t**a)/(1 - t), P = Q**n satisfies Q*P' = n*Q'*P (J. C. P.
     # Miller's power recurrence); multiplied through by (1 - t)**2 it reads
     # (1 - t)(1 - t**a) P' = n (1 - a t**(a-1) + (a-1) t**a) P, so that
@@ -146,6 +112,7 @@ def eulerian(k: int, n: int) -> int:
     descents and the n-k ascents (the numbers are symmetric); no table of
     earlier rows is kept.  The row sums are n!.
     """
+    _require_ints({}, k=k, n=n)
     if k < 1 or k > n:
         raise ValueError(f"eulerian(k={k}, n={n}) requires 1 <= k <= n")
     m = min(k - 1, n - k)
@@ -155,6 +122,7 @@ def eulerian(k: int, n: int) -> int:
 def eulerian_by_enumeration(k: int, n: int) -> int:
     """Brute-force descent count over all n! permutations; test oracle for
     eulerian, usable up to n about 8."""
+    _require_ints({}, k=k, n=n)
     if k < 1 or k > n:
         raise ValueError(f"eulerian(k={k}, n={n}) requires 1 <= k <= n")
     target = k - 1

@@ -22,22 +22,21 @@ bounds by construction.  check_prop3 and check_prop4 verify the two
 collapsing steps of the sieve, and sieve_term_closed_form is the resulting
 closed form, checked by the eq6 sweep.
 
-The materialized families (dosp_family) are cached, at most 256, so a
-long-lived process keeps bounded memory.  Members are slotted records that
-share equal blocks and equal gap tuples, which the spot-mask constructor in
-dosp interns.  Each family is indexed once per r, in a second cache of at
-most 256 entries, by bitmask postings: bit i of a posting stands for the
-i-th member in stream order, and there is one posting per r-bad block (the
-members holding it) and one per packed pair (the members carrying it).  The
-sieve readers AND and clear postings instead of scanning members, and pick
-the members they return by bit.  Family members and rebuilt partitions are
-valid by construction, so they are stored without Dosp's checks; only the
-spread of spread_bad_parts goes through the checked constructor.
+The materialized families (dosp_family) and their postings are cached
+within 32 MiB of charged bytes, so memory stays bounded.  Members are slotted
+records sharing equal blocks and gap tuples, which the spot-mask constructor
+in dosp interns.  Each family is indexed once per r by bitmask postings: bit
+i of a posting stands for the i-th member in stream order, and there is one
+posting per r-bad block (the members holding it) and one per packed pair
+(the members carrying it).  The sieve readers AND and clear postings instead
+of scanning members, and pick the members they return by bit.  Family
+members and rebuilt partitions are valid by construction, so they are stored
+without Dosp's checks; only the spread of spread_bad_parts goes through the
+checked constructor.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate, compress
 from operator import add
 from typing import Iterable, Iterator, NamedTuple
@@ -52,7 +51,7 @@ from .dosp import (
     r_bad_blocks,
 )
 from .enumeration import bounded_vectors, count_r_hypersimplicial, iter_dosps
-from .spec import _require_ints
+from .spec import _lru_by_size, _require_ints
 
 __all__ = [
     "SetPartition",
@@ -73,6 +72,10 @@ __all__ = [
 
 # a set partition: disjoint frozensets, sorted by least element
 SetPartition = tuple[frozenset[int], ...]
+
+# stored-size bounds of the family and postings caches, in bytes: 32 MiB together
+_FAMILY_CACHE_BYTES = 24 << 20
+_POSTINGS_CACHE_BYTES = 8 << 20
 
 
 def unordered_partitions(elements: Iterable[int]) -> list[SetPartition]:
@@ -111,7 +114,9 @@ def _require_ground(ground: Iterable[int], n: int, r: int, top: bool = False) ->
     return ground
 
 
-@lru_cache(maxsize=256, typed=True)
+# charged per member: a slot, a 64-byte record and a tuple of at most n
+# shared blocks (40 bytes and 8 per block, 16-byte alignment), an upper bound
+@_lru_by_size(lambda f: 64 + sum(120 + 8 * p.n for p in f), lambda: _FAMILY_CACHE_BYTES)
 def dosp_family(k: int, n: int, d: int) -> tuple[Dosp, ...]:
     """All partitions of type (k, n) with winding number d, materialized in
     stream order.  Meant for desk-scale exhaustive checks.
@@ -119,8 +124,8 @@ def dosp_family(k: int, n: int, d: int) -> tuple[Dosp, ...]:
     Members share equal blocks and equal gap tuples: a family over {1..n}
     has at most 2**n - 1 distinct blocks and 2**(k-1) distinct gap tuples,
     and dosp_from_winding_vector takes each from a process-wide intern
-    cache, so each is stored once however many members hold it.  At most 256
-    families stay cached (verify needs 120), typed so that a bool key misses.
+    cache, so each is stored once however many members hold it.  Verify
+    builds 120 families and evicts none; a bool key misses.
     """
     return tuple(iter_dosps(k, n, d))
 
@@ -136,14 +141,19 @@ class _Postings(NamedTuple):
     by_pair: dict[tuple[int, int], int]
 
 
-@lru_cache(maxsize=256)
+def _postings_bytes(p: _Postings) -> int:
+    # an upper bound: per posting a dict entry, a pair key and an int of one
+    # bit per member (4 bytes per 30 bits, 28-byte header, 16-byte alignment)
+    return 512 + (len(p.by_block) + len(p.by_pair)) * (208 + p.everyone.bit_length() // 7)
+
+
+@_lru_by_size(_postings_bytes, lambda: _POSTINGS_CACHE_BYTES)
 def _family_with_bad_blocks(k: int, n: int, d: int, r: int) -> _Postings:
     """The postings of dosp_family(k, n, d) for r, built in one pass over the
-    family, with no reference to the members themselves.  The default verify
-    bounds need 240 entries.  Only _run_free reads the pair postings, but
-    they pay for themselves: with run_free_family reading pairs off each member
-    instead, verify --suite all ran 8 % slower (1.98 against 1.83 s, slower
-    in 9 of 10 alternated runs; Python 3.11.7, 2 cores)."""
+    family, with no reference to the members themselves.  Only _run_free
+    reads the pair postings, but they pay for themselves: with them read off
+    each member instead, verify --suite all ran 8 % slower (1.98 against
+    1.83 s, slower in 9 of 10 alternated runs; Python 3.11.7, 2 cores)."""
     family = dosp_family(k, n, d)
     by_block: dict[frozenset[int], int] = {}
     by_pair: dict[tuple[int, int], int] = {}
@@ -426,10 +436,10 @@ def check_prop4(k: int, n: int, d: int, r: int, ground: Iterable[int]) -> bool:
     postings = _family_with_bad_blocks(k, n, d, r)
     family = dosp_family(k, n, d)
     base = _holding(postings, _singleton_parts(ground))
-    images = [
-        (len(parts), spread_image(k, n, d, r, parts))
-        for parts in unordered_partitions(ground)
-    ]
+    images = []
+    for parts in unordered_partitions(ground):
+        held = _members(family, _holding(postings, parts))
+        images.append((len(parts), {spread_bad_parts(q, r, parts) for q in held}))
     run_free = set(_members(family, _run_free(postings, ground, base)))
     sign = (-1) ** len(ground)
     for p in _members(family, base):

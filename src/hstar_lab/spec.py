@@ -1,12 +1,14 @@
-"""The slice, its h*-vector and the integer-argument rule: all that the
-formula (hstar, coeffcore), enum (enumeration, dosp) and oracle modules
-share.  It imports nothing from the package, so the three methods meet only
-here and share no arithmetic.
+"""The slice, its h*-vector, the integer-argument rule and the cache bounded
+by bytes: all that the formula (hstar, coeffcore), enum (enumeration, dosp)
+and oracle modules share.  It imports nothing from the package, so the three
+methods meet only here and share no arithmetic.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
+from functools import wraps
 
 __all__ = ["PolytopeSpec", "HStarVector"]
 
@@ -71,3 +73,42 @@ def _require_ints(least: dict[str, int] = _LEAST, /, **values: int) -> None:
             raise TypeError(f"{name} must be an integer")
         if name in least and value < least[name]:
             raise ValueError(f"{name} must be at least {least[name]}")
+
+
+_CacheInfo = namedtuple("_CacheInfo", "hits misses currsize nbytes maxbytes")
+
+
+def _lru_by_size(charge, budget):
+    """Decorator: a least-recently-used cache, typed as by lru_cache(typed=True),
+    of a function of hashable arguments.  Each result is charged charge(result)
+    bytes, and all but the newest entry may be evicted, oldest first, while
+    the total passes budget(), which is read at each miss."""
+
+    def decorate(fn):
+        entries: OrderedDict = OrderedDict()  # key -> (result, charge), oldest first
+        stats = [0, 0, 0]  # hits, misses, charged bytes held
+
+        @wraps(fn)
+        def cached(*args, **kwargs):
+            key = (*args, *kwargs.items(), *map(type, (*args, *kwargs.values())))
+            if key in entries:
+                entries.move_to_end(key)
+                stats[0] += 1
+                return entries[key][0]
+            stats[1] += 1
+            result = fn(*args, **kwargs)
+            entries[key] = (result, charge(result))
+            stats[2] += entries[key][1]
+            while stats[2] > budget() and len(entries) > 1:
+                stats[2] -= entries.popitem(last=False)[1][1]
+            return result
+
+        def cache_clear() -> None:
+            entries.clear()
+            stats[:] = [0, 0, 0]
+
+        cached.cache_info = lambda: _CacheInfo(stats[0], stats[1], len(entries), stats[2], budget())
+        cached.cache_clear = cache_clear
+        return cached
+
+    return decorate

@@ -2,12 +2,14 @@
 is an int (a bool is not) of at least its least value: k, n, r and a at least
 1; d, m, s, t, max_degree, length, bound and shift at least 0.  The arguments
 of restricted_coeff are only type-checked, since its degenerate values have
-fixed conventions.  A marked ground set holds ints in 1..n-1, and the ground
-of sieve_term and the parts of dosps_with_bad_parts hold ints in 1..n."""
+fixed conventions, and so are those of eulerian and eulerian_by_enumeration,
+whose range message names both k and n.  A marked ground set holds ints in
+1..n-1, and the ground of sieve_term and the parts of dosps_with_bad_parts
+hold ints in 1..n."""
 
 import pytest
 
-from hstar_lab.coeffcore import restricted_coeff
+from hstar_lab.coeffcore import eulerian, eulerian_by_enumeration, restricted_coeff
 from hstar_lab.dosp import (
     Dosp,
     cyclic_shift_elements,
@@ -211,6 +213,22 @@ def test_restricted_coeff_refuses_non_integers_with_the_template_message(name, v
     fields = {"n": 3, "b": 1, "a": 2, name: value}
     with pytest.raises(TypeError, match=f"^{name} must be an integer$"):
         restricted_coeff(**fields)
+
+
+@pytest.mark.parametrize("function", [eulerian, eulerian_by_enumeration])
+@pytest.mark.parametrize("name", "kn")
+@pytest.mark.parametrize("value", [True, 1.5])
+def test_eulerian_refuses_non_integers_with_the_template_message(function, name, value):
+    # only the types are shared: its range keeps the message naming both
+    fields = {"k": 1, "n": 3, name: value}
+    with pytest.raises(TypeError, match=f"^{name} must be an integer$"):
+        function(**fields)
+
+
+@pytest.mark.parametrize("function", [eulerian, eulerian_by_enumeration])
+def test_eulerian_range_keeps_its_message(function):
+    with pytest.raises(ValueError, match=r"^eulerian\(k=0, n=3\) requires 1 <= k <= n$"):
+        function(0, 3)
 
 
 @pytest.mark.parametrize("name", TAKES_GROUND)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hstar_lab import cli
+from hstar_lab.coeffcore import _power_row
+from hstar_lab.sieve import _family_with_bad_blocks, dosp_family
 from hstar_lab.spec import HStarVector, PolytopeSpec
 
 SCHEMA = json.loads(
@@ -249,6 +251,9 @@ class TestVerifyCommand:
             assert captured.err == f"error: {flag} must be nonnegative\n"
 
     def test_default_case_counts(self, capsys):
+        cached = {dosp_family: 120, _family_with_bad_blocks: 240, _power_row: 81}
+        for fn in cached:
+            fn.cache_clear()
         assert cli.main(["verify", "--suite", "all"]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "PASS lemma1: 864 cases",
@@ -260,6 +265,10 @@ class TestVerifyCommand:
             "PASS eq6: 3108 cases",
             "PASS eulerian: 64 cases",
         ]
+        # the default bounds fit the size-bounded caches: nothing is evicted
+        for fn, entries in cached.items():
+            info = fn.cache_info()
+            assert info.misses == info.currsize == entries, fn.__name__
 
     def test_failure_reports_counterexample(self, monkeypatch, capsys):
         cases, _, defaults = cli._SUITES["lemma1"]

@@ -169,6 +169,14 @@ class TestRowCache:
         with pytest.raises(AssertionError, match=f"n=10, a=4, j={bad_j}$"):
             _power_row(10, 4)
 
+    def test_takes_keyword_arguments(self):
+        # a keyword call is its own key, as with lru_cache, and is charged
+        # like a positional one
+        _power_row.cache_clear()
+        assert _power_row(n=30, a=5) == _power_row(30, 5) == tuple(bounded_power(30, 5))
+        info = _power_row.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+
     def test_keeps_a_row_larger_than_the_bound(self, monkeypatch):
         _power_row.cache_clear()
         monkeypatch.setattr(coeffcore, "_ROW_CACHE_BYTES", 1)

@@ -9,7 +9,7 @@ import pytest
 
 from hstar_lab import sieve
 from hstar_lab.cli import _SUITES, main
-from hstar_lab.coeffcore import restricted_coeff
+from hstar_lab.coeffcore import _power_row, restricted_coeff
 from hstar_lab.dosp import (
     Dosp,
     _gaps_between,
@@ -263,9 +263,10 @@ class TestFamilyCaches:
         monkeypatch.setattr(sieve, "r_bad_blocks", counted)
         assert main(["verify", "--suite", "eq6"]) == 0
         assert capsys.readouterr().out == "PASS eq6: 3108 cases\n"
-        for cached, keys in ((dosp_family, 120), (_family_with_bad_blocks, 240)):
+        budgets = (sieve._FAMILY_CACHE_BYTES, sieve._POSTINGS_CACHE_BYTES)
+        for cached, keys, budget in zip((dosp_family, _family_with_bad_blocks), (120, 240), budgets):
             info = cached.cache_info()
-            assert info.maxsize == 256
+            assert info.nbytes <= info.maxbytes == budget
             assert info.misses == info.currsize == keys
         # each index reads each member of its family once, and the sieve
         # terms read no member
@@ -273,6 +274,23 @@ class TestFamilyCaches:
         indexed = {(k, n, d, r) for k, n, r, d, _ in cases(*bounds)}
         assert len(indexed) == 240
         assert len(reads) == sum(len(dosp_family(k, n, d)) for k, n, d, _ in indexed)
+
+    @pytest.mark.parametrize("suite", ["prop3", "prop4", "prop5", "eq6"])
+    def test_sweep_past_the_budget_builds_each_family_once(self, suite, monkeypatch):
+        # with room for one family and one postings entry only, every case
+        # still finds its family and postings built once, since the cases of
+        # one family run back to back
+        monkeypatch.setattr(sieve, "_FAMILY_CACHE_BYTES", 1)
+        monkeypatch.setattr(sieve, "_POSTINGS_CACHE_BYTES", 1)
+        _clear_family_caches()
+        assert main(["verify", "--suite", suite]) == 0
+        cases, _, bounds = _SUITES[suite]
+        indexed = {(k, n, d, r) for k, n, r, d, *_ in cases(*bounds)}
+        families, postings = dosp_family.cache_info(), _family_with_bad_blocks.cache_info()
+        assert families.currsize == postings.currsize == 1
+        assert families.misses == len({key[:3] for key in indexed})
+        assert postings.misses == len(indexed)
+        _clear_family_caches()
 
     def test_default_bound_families_share_gap_tuples(self):
         for k in range(1, 7):
@@ -294,7 +312,7 @@ class TestFamilyCaches:
 
     def test_default_bound_families_stay_small(self):
         # every family the default verify bounds build, with its postings for
-        # r = 1 and 2: about 2.4 MB, of which the postings take about 0.3 MB,
+        # r = 1 and 2: about 1.9 MB traced and 3.1 MB charged (Python 3.11),
         # when members are slotted and share blocks and gap tuples; about
         # 3.1 MB with one r-bad block set per member in place of postings,
         # about 6.3 MB with a gap tuple and __dict__ per member as well, and
@@ -310,8 +328,95 @@ class TestFamilyCaches:
             current, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert _family_with_bad_blocks.cache_info().currsize == 240
+        families, postings = dosp_family.cache_info(), _family_with_bad_blocks.cache_info()
+        assert families.misses == families.currsize == 120
+        assert postings.misses == postings.currsize == 240
         assert current < 4 * 2**20
+        # the charges bound what the caches hold, the block and gap-tuple
+        # intern caches included
+        assert current <= families.nbytes + postings.nbytes
+
+    def test_charges_bound_the_traced_size_within_a_factor_two(self):
+        # at n = 7 few members come from the interpreter's free lists, so the
+        # traced size is what the members take: the charges measured 1.20
+        # (families) and 1.65 (postings) times it (Python 3.11)
+        _clear_family_caches()
+        tracemalloc.start()
+        try:
+            for d in range(7):
+                dosp_family(5, 7, d)
+            held, _ = tracemalloc.get_traced_memory()
+            for d in range(7):
+                for r in (1, 2):
+                    _family_with_bad_blocks(5, 7, d, r)
+            indexed, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        charged = dosp_family.cache_info().nbytes
+        assert held <= charged < 2 * held
+        charged = _family_with_bad_blocks.cache_info().nbytes
+        assert indexed - held <= charged < 2 * (indexed - held)
+
+    def test_long_lived_sweep_stays_within_the_budget(self, monkeypatch):
+        # the 120 growing families of the default verify bounds, indexed for
+        # r = 1, with the budgets cut to 768 + 256 KiB so that both caches
+        # evict: what stays traced never passes the budget by more than
+        # 256 KiB, which covers the block and gap-tuple intern caches (it
+        # peaked at 0.59 MiB, Python 3.11)
+        budget, slack = 2**20, 2**18
+        monkeypatch.setattr(sieve, "_FAMILY_CACHE_BYTES", budget * 3 // 4)
+        monkeypatch.setattr(sieve, "_POSTINGS_CACHE_BYTES", budget // 4)
+        _clear_family_caches()
+        tracemalloc.start()
+        try:
+            most = 0
+            for n in range(2, 7):
+                for k in range(1, 7):
+                    for d in range(n):
+                        run_free_family(k, n, d, 1, ())
+                        most = max(most, tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        families, postings = dosp_family.cache_info(), _family_with_bad_blocks.cache_info()
+        assert families.misses == 120 and families.currsize < 120
+        assert postings.misses == 120 and postings.currsize < 120
+        assert families.nbytes + postings.nbytes <= budget
+        assert most < budget + slack
+        _clear_family_caches()
+
+    def test_evicted_family_is_rebuilt_in_stream_order(self, monkeypatch):
+        # postings name members by their index in the stream, so a rebuilt
+        # family must list them as the first build did
+        _clear_family_caches()
+        first = dosp_family(5, 6, 2)
+        postings = _family_with_bad_blocks(5, 6, 2, 1)
+        monkeypatch.setattr(sieve, "_FAMILY_CACHE_BYTES", 1)
+        dosp_family(5, 6, 3)  # keeps only the newest family
+        assert dosp_family.cache_info().currsize == 1
+        rebuilt = dosp_family(5, 6, 2)
+        assert rebuilt is not first and rebuilt == first
+        assert dosp_family.cache_info().misses == 3
+        # the kept postings pick the same members out of the rebuilt family
+        assert _family_with_bad_blocks(5, 6, 2, 1) is postings
+        assert dosps_with_bad_parts(5, 6, 2, 1, [{1}]) == [
+            p for p in first if frozenset({1}) in r_bad_blocks(p, 1)
+        ]
+        _clear_family_caches()
+
+    def test_family_takes_keyword_arguments(self):
+        by_keyword = dosp_family(k=4, n=5, d=2)
+        assert by_keyword == dosp_family(4, 5, 2)
+        with pytest.raises(TypeError, match="^k must be an integer$"):
+            dosp_family(k=True, n=5, d=2)
+
+    def test_cached_functions_keep_their_names(self):
+        # benchmark spans are named from __module__ and __name__
+        for fn, module, name in [
+            (dosp_family, "hstar_lab.sieve", "dosp_family"),
+            (_family_with_bad_blocks, "hstar_lab.sieve", "_family_with_bad_blocks"),
+            (_power_row, "hstar_lab.coeffcore", "_power_row"),
+        ]:
+            assert (fn.__module__, fn.__name__) == (module, name)
 
 
 @dataclass(frozen=True)
