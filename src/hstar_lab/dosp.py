@@ -8,9 +8,10 @@ stores the canonical rotation, with the block containing 1 first.
 
 The winding vector of a partition, a plain tuple, records for each i the
 clockwise distance from the block of i to the block of i+1 (indices cyclic in
-{1..n}); its entry sum is k times the winding number.  A block is r-bad when
-its gap label is at least r times its size, and a partition with no r-bad
-block is r-hypersimplicial.
+{1..n}); its entry sum is k times the winding number.  _walk lays a vector's
+elements on spots and _spots_passed reads a vector off; both serve sieve's
+second winding vectors too.  A block is r-bad when its gap label is at least
+r times its size, and a partition with no r-bad block is r-hypersimplicial.
 """
 
 from __future__ import annotations
@@ -131,22 +132,28 @@ def parse_dosp(text: str, k: int, n: int) -> Dosp:
 def winding_vector(partition: Dosp) -> tuple[int, ...]:
     """Clockwise spot distance from the block of i to the block of i+1 for
     each i, with w_i = 0 when the two share a block."""
-    spots = _element_spots(partition)
-    k = partition.k
-    return tuple((end - start) % k for start, end in zip(spots, spots[1:] + spots[:1]))
+    return _spots_passed(partition, [0] * partition.k)
 
 
-def _element_spots(partition: Dosp) -> list[int]:
-    """The spot of each element, element e at index e-1: the first stored
-    block sits on spot 0 and each next block its gap label further
-    clockwise."""
-    spots = [0] * partition.n
-    q = 0
+def _spots_passed(partition: Dosp, skips: list[int]) -> tuple[int, ...]:
+    """For each element i, the spots passed on the clockwise walk from the
+    block of i to the block of i+1, counting the end spot and not the start.
+    The first stored block sits on spot 0 and each next block its gap label
+    further clockwise.  The skips[q] spots from a block's spot q on, all
+    before the next block, are not counted; with none skipped, this is the
+    winding vector."""
+    # at index e-1: (spot of the block of e, spots counted up to and including it)
+    place = [(0, 0)] * partition.n
+    q = counted = 0
     for block, gap in zip(partition.blocks, partition.gaps):
+        here = (q, counted + (not skips[q]))
         for e in block:
-            spots[e - 1] = q
+            place[e - 1] = here
+        counted += gap - skips[q]
         q += gap
-    return spots
+    # a walk that wraps past spot 0 passes every counted spot once more
+    walks = zip(place, place[1:] + place[:1])
+    return tuple([end - start + (counted if to < at else 0) for (at, start), (to, end) in walks])
 
 
 def winding_number(partition: Dosp) -> int:

@@ -15,7 +15,8 @@ _run_free, the one reader of the pair postings, drops the members carrying
 a pair of marked elements.  Run-free members are counted by second winding
 vectors, plain tuples like winding vectors: color the spot of each marked
 singleton and its r-1 trailing empties red, and record blue spots passed
-between consecutive elements.  dosp_from_second_winding_vector checks every
+between consecutive elements: dosp's winding-vector read-off, _spots_passed,
+with the red spots skipped.  dosp_from_second_winding_vector checks every
 bound of a vector it is given; second_winding_vector checks only the one its
 read-off can break, a zero entry for a marked element; the stream is in
 bounds by construction.  check_prop3 and check_prop4 verify the two
@@ -37,7 +38,7 @@ checked constructor.
 
 from __future__ import annotations
 
-from itertools import accumulate, compress
+from itertools import compress
 from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
@@ -46,7 +47,7 @@ from .dosp import (
     Dosp,
     _block_of_mask,
     _dosp_from_spot_masks,
-    _element_spots,
+    _spots_passed,
     _walk,
     r_bad_blocks,
 )
@@ -81,10 +82,13 @@ _POSTINGS_CACHE_BYTES = 8 << 20
 def unordered_partitions(elements: Iterable[int]) -> list[SetPartition]:
     """All set partitions of the given elements, each exactly once; the count
     is the Bell number of the size.  The empty set has exactly the empty
-    partition."""
-    elems = sorted(set(elements))
+    partition.  As in a ground set, elements must be ints, bools refused."""
+    elems = list(elements)
+    for e in elems:  # before the set below, which would merge True into 1
+        if type(e) is not int:
+            raise TypeError(f"ground element {e!r} is not an integer")
     partial: list[list[list[int]]] = [[]]
-    for e in elems:
+    for e in sorted(set(elems)):
         grown: list[list[list[int]]] = []
         for parts in partial:
             for i in range(len(parts)):
@@ -296,10 +300,9 @@ def _packed_pairs(partition: Dosp, r: int) -> list[tuple[int, int]]:
 
 
 def second_winding_vector(partition: Dosp, r: int, ground: Iterable[int]) -> tuple[int, ...]:
-    """Read the second winding vector off the spot diagram: v_i counts blue
-    spots strictly after the start and up to and including the end of the
-    clockwise walk from the spot of i to the spot of i+1, and v_i = 0 when
-    the two share a spot.
+    """The second winding vector, read off by dosp's _spots_passed with the
+    red spots skipped: v_i counts the blue spots passed on the clockwise walk
+    from the spot of i to the spot of i+1, the end counted and not the start.
 
     Raises ValueError when a marked element is not a singleton block or lacks
     the r-1 empty trailing spots, or when a marked element shares its blue
@@ -311,11 +314,10 @@ def second_winding_vector(partition: Dosp, r: int, ground: Iterable[int]) -> tup
     """
     ground = _require_ground(ground, partition.n, r)
     k = partition.k
-    spots = _element_spots(partition)
-    # each marked singleton colors its spot and the r-1 spots after it red;
-    # those are empty exactly when its gap label is at least r.  A fault
-    # names the least marked element at fault.
-    blue_at = [1] * k
+    # each marked singleton colors its spot and the r-1 spots after it red,
+    # and the read-off skips those r spots; they are empty exactly when its
+    # gap label is at least r.  A fault names the least marked element at fault.
+    skips = [0] * k
     faults = []
     q = 0  # spot of the block
     for block, gap in zip(partition.blocks, partition.gaps):
@@ -327,24 +329,14 @@ def second_winding_vector(partition: Dosp, r: int, ground: Iterable[int]) -> tup
                 (t,) = block
                 faults.append((t, f"singleton block {{{t}}} needs {r - 1} empty spots after it"))
             else:
-                # q + gap <= k, so the red spots do not wrap
-                blue_at[q : q + r] = [0] * r
+                skips[q] = r
         q += gap
     if faults:
         raise ValueError(min(faults)[1])
-    # blue_upto[q]: blue spots among 0..q, so a walk (start, end] passes
-    # blue_upto[end] - blue_upto[start] of them, plus all when it wraps
-    blue_upto = list(accumulate(blue_at))
-    blue = blue_upto[-1]
-    v = tuple(
-        [
-            blue_upto[end] - blue_upto[start] + (blue if end < start else 0)
-            for start, end in zip(spots, spots[1:] + spots[:1])
-        ]
-    )
+    v = _spots_passed(partition, skips)
     zero = min((t for t in ground if not v[t - 1]), default=0)
     if zero:
-        raise ValueError(f"entry v_{zero}=0 outside 1..{blue} for a marked element")
+        raise ValueError(f"entry v_{zero}=0 outside 1..{k - r * len(ground)} for a marked element")
     return v
 
 

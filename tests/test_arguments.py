@@ -4,8 +4,8 @@ is an int (a bool is not) of at least its least value: k, n, r and a at least
 of restricted_coeff are only type-checked, since its degenerate values have
 fixed conventions, and so are those of eulerian and eulerian_by_enumeration,
 whose range message names both k and n.  A marked ground set holds ints in
-1..n-1, and the ground of sieve_term and the parts of dosps_with_bad_parts
-hold ints in 1..n."""
+1..n-1, the ground of sieve_term and the parts of dosps_with_bad_parts
+hold ints in 1..n, and the elements of unordered_partitions are ints."""
 
 import pytest
 
@@ -39,6 +39,7 @@ from hstar_lab.sieve import (
     sieve_term_closed_form,
     spread_bad_parts,
     spread_image,
+    unordered_partitions,
 )
 from hstar_lab.spec import PolytopeSpec
 
@@ -253,6 +254,14 @@ def test_bad_ground_or_part_element_is_refused(name, element):
         error, message = TypeError, f"^ground element {element!r} is not an integer$"
     with pytest.raises(error, match=message):
         call({element})
+
+
+@pytest.mark.parametrize("element", [True, False, 1.0, 1.5, "a", None], ids=repr)
+def test_unordered_partitions_refuses_a_non_int_element(element):
+    # checked before the set of elements, in which True would merge into 1
+    assert unordered_partitions([2, 1]) == [(frozenset({1, 2}),), (frozenset({1}), frozenset({2}))]
+    with pytest.raises(TypeError, match=f"^ground element {element!r} is not an integer$"):
+        unordered_partitions([1, element])
 
 
 @pytest.mark.parametrize("name", TAKES_ELEMENTS_UP_TO_N)

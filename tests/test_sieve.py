@@ -18,6 +18,7 @@ from hstar_lab.dosp import (
     parse_dosp,
     r_bad_blocks,
     winding_number,
+    winding_vector,
 )
 from hstar_lab.enumeration import enumerate_winding_vectors, iter_dosps
 from hstar_lab.hstar import count_dosps
@@ -687,6 +688,20 @@ class TestSecondWindingVector:
         assert v == RUNNING_V
         # 12 - 2*3 = 6 blue spots, winding number 4
         assert sum(v) == 6 * 4
+
+    def test_empty_ground_reads_off_the_winding_vector(self):
+        # with nothing marked every spot is blue; twin of the rebuild test
+        # TestSecondWindingReconstruction.test_empty_ground_reduces_to_winding_vector
+        cases = 0
+        for k in range(1, 7):
+            for n in range(1, 7):
+                for d in range(n):
+                    for p in dosp_family(k, n, d):
+                        w = winding_vector(p)
+                        for r in (1, 2, 3):
+                            assert second_winding_vector(p, r, ()) == w, (p, r)
+                            cases += 1
+        assert cases == 45105
 
     def test_marked_entries_never_zero(self):
         for k, n, r in [(4, 4, 1), (5, 4, 1), (6, 4, 2)]:
