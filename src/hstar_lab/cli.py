@@ -162,11 +162,8 @@ def _prop2_cases(max_n, max_k, max_r):
 def _check_prop2(k, n, d) -> bool:
     vectors = list(enumerate_winding_vectors(k, n, d))
     partitions = [dosp_from_winding_vector(w, k) for w in vectors]
-    if len(set(partitions)) != len(vectors):
-        return False
-    if len(vectors) != count_dosps(k, n, d):
-        return False
-    return all(winding_vector(p) == w for p, w in zip(partitions, vectors))
+    read = [winding_vector(p) for p in partitions]
+    return len(set(partitions)) == len(vectors) == count_dosps(k, n, d) and read == vectors
 
 
 def _grounds(n: int, max_size: int):
@@ -194,17 +191,14 @@ def _check_prop4(k, n, r, d, ground) -> bool:
 
 def _check_prop5(k, n, r, d, ground) -> bool:
     ground = frozenset(ground)  # one set shared by every check below
-    members = run_free_family(k, n, d, r, ground)
-    vectors = list(enumerate_second_winding_vectors(k, n, d, r, ground))
-    if len(members) != len(vectors):
-        return False
-    seen = set()
-    for p in members:
+    read = []
+    for p in run_free_family(k, n, d, r, ground):
         v = second_winding_vector(p, r, ground)
         if dosp_from_second_winding_vector(v, k, r, ground) != p:
             return False
-        seen.add(v)
-    return seen == set(vectors)
+        read.append(v)
+    # the stream is lexicographic without repeats, so this is the bijection
+    return sorted(read) == list(enumerate_second_winding_vectors(k, n, d, r, ground))
 
 
 def _check_eq6(k, n, r, d, ground) -> bool:
@@ -256,7 +250,10 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, shared by every call: parse_args leaves it
+    unchanged, so every request of a long-lived process reuses it."""
     parser = argparse.ArgumentParser(
         prog="hstar-lab",
         description="Ehrhart h*-vectors of hypersimplices and cube cross sections",
@@ -300,15 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser; parse_args leaves it unchanged, so every
-    request of a long-lived process can reuse it."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

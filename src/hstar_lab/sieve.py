@@ -11,12 +11,12 @@ over all S.  Every partition in the sieve can be spread into one whose forced
 elements are bad singleton blocks (spread_bad_parts); runs of consecutive
 marked singleton blocks at gap exactly r with increasing elements are the
 obstruction.  Every such run starts with a packed pair (_packed_pairs), and
-_run_free, the one reader of the pair postings, drops the members carrying
-a pair of marked elements.  Run-free members are counted by second winding
-vectors, plain tuples like winding vectors: color the spot of each marked
-singleton and its r-1 trailing empties red, and record blue spots passed
-between consecutive elements: dosp's winding-vector read-off, _spots_passed,
-with the red spots skipped.  dosp_from_second_winding_vector checks every
+run_free_family, the one reader of the pair postings, drops the members
+carrying a pair of marked elements.  Run-free members are counted by second
+winding vectors, plain tuples like winding vectors: color the spot of each
+marked singleton and its r-1 trailing empties red, and record blue spots
+passed between consecutive elements: dosp's winding-vector read-off,
+_spots_passed, with the red spots skipped.  dosp_from_second_winding_vector checks every
 bound of a vector it is given; second_winding_vector checks only the one its
 read-off can break, a zero entry for a marked element; the stream is in
 bounds by construction.  check_prop3 and check_prop4 verify the two
@@ -38,7 +38,7 @@ checked constructor.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress
 from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
@@ -104,18 +104,28 @@ def _normalize_parts(parts: Iterable[Iterable[int]]) -> SetPartition:
 
 def _require_ground(ground: Iterable[int], n: int, r: int, top: bool = False) -> frozenset[int]:
     """Check r (inline first: prop5 calls this twice per member), then that
-    each element is an int in 1..n-1 (1..n if top); return it as a frozenset."""
+    each element as given is an int in 1..n-1 (1..n if top); only then return
+    them as a frozenset, which merges True into 1 (a frozenset given cannot
+    hold both)."""
     if type(r) is not int or r < 1:
         _require_ints(r=r)
-    ground = frozenset(ground)
-    for t in ground:
+    elems = ground if type(ground) is frozenset else tuple(ground)
+    for t in elems:
         if type(t) is not int:
             raise TypeError(f"ground element {t!r} is not an integer")
         if not 1 <= t <= n:
             raise ValueError(f"ground element {t} outside 1..{n}")
+    ground = frozenset(elems)
     if n in ground and not top:
         raise ValueError(f"ground set must not contain {n}")
     return ground
+
+
+def _require_parts(parts, n: int, r: int, top: bool = False) -> list[frozenset[int]]:
+    """The parts as frozensets, once _require_ground has checked their elements."""
+    parts = list(map(tuple, parts))
+    _require_ground(chain(*parts), n, r, top)
+    return list(map(frozenset, parts))
 
 
 # charged per member: a slot, a 64-byte record and a tuple of at most n
@@ -154,7 +164,7 @@ def _postings_bytes(p: _Postings) -> int:
 @_lru_by_size(_postings_bytes, lambda: _POSTINGS_CACHE_BYTES)
 def _family_with_bad_blocks(k: int, n: int, d: int, r: int) -> _Postings:
     """The postings of dosp_family(k, n, d) for r, built in one pass over the
-    family, with no reference to the members themselves.  Only _run_free
+    family, with no reference to the members themselves.  Only run_free_family
     reads the pair postings, but they pay for themselves: with them read off
     each member instead, verify --suite all ran 8 % slower (1.98 against
     1.83 s, slower in 9 of 10 alternated runs; Python 3.11.7, 2 cores)."""
@@ -196,8 +206,7 @@ def dosps_with_bad_parts(k: int, n: int, d: int, r: int, parts) -> list[Dosp]:
     """Partitions of type (k, n) with winding number d whose set of r-bad
     blocks contains every given part as a block, in stream order."""
     _require_ints(k=k, n=n, d=d)
-    parts = [frozenset(part) for part in parts]
-    _require_ground(frozenset().union(*parts), n, r, top=True)
+    parts = _require_parts(parts, n, r, top=True)
     mask = _holding(_family_with_bad_blocks(k, n, d, r), parts)
     return _members(dosp_family(k, n, d), mask)
 
@@ -228,8 +237,7 @@ def spread_bad_parts(partition: Dosp, r: int, parts) -> Dosp:
     elements in increasing order as consecutive singleton blocks: the first
     ones at gap exactly r, the last keeping the remainder of the original
     gap.  Other blocks are untouched and the winding number is preserved."""
-    required = {frozenset(p) for p in parts}
-    _require_ground(frozenset().union(*required), partition.n, r)
+    required = set(_require_parts(parts, partition.n, r))
     new_blocks: list[frozenset[int]] = []
     new_gaps: list[int] = []
     found: set[frozenset[int]] = set()
@@ -262,26 +270,18 @@ def spread_image(k: int, n: int, d: int, r: int, parts) -> frozenset[Dosp]:
     )
 
 
-def _singleton_parts(ground: frozenset[int]) -> SetPartition:
-    return tuple(frozenset((t,)) for t in sorted(ground))
-
-
 def run_free_family(k: int, n: int, d: int, r: int, ground: Iterable[int]) -> list[Dosp]:
     """Members of the family whose marked elements all sit in r-bad singleton
     blocks and which carry no increasing packed run of length greater than 1."""
     _require_ints(k=k, n=n, d=d)
     ground = _require_ground(ground, n, r)
     postings = _family_with_bad_blocks(k, n, d, r)
-    mask = _holding(postings, _singleton_parts(ground))
-    return _members(dosp_family(k, n, d), _run_free(postings, ground, mask))
-
-
-def _run_free(postings: _Postings, ground: frozenset[int], mask: int) -> int:
-    """mask less the members carrying a packed pair of marked elements."""
+    mask = _holding(postings, [frozenset((t,)) for t in ground])
+    # drop the members carrying a packed pair of marked elements
     for (e, f), carriers in postings.by_pair.items():
         if e in ground and f in ground:
             mask &= ~carriers
-    return mask
+    return _members(dosp_family(k, n, d), mask)
 
 
 def _packed_pairs(partition: Dosp, r: int) -> list[tuple[int, int]]:
@@ -420,26 +420,22 @@ def enumerate_second_winding_vectors(
 
 
 def check_prop4(k: int, n: int, d: int, r: int, ground: Iterable[int]) -> bool:
-    """For every family member whose marked elements are bad singleton blocks,
-    the signed count of set partitions whose spread image contains it must
-    collapse to (-1)**|ground| on run-free members and to 0 otherwise."""
+    """Over the set partitions S of the ground set, the signed count of the S
+    whose spread image holds a partition is (-1)**|ground| on run-free members
+    and 0 on every other one: one equality over the family.  Each S adds
+    (-1)**|S| per member it spreads, which counts its image (spreads are 1-1)."""
     _require_ints(k=k, n=n, d=d)
     ground = _require_ground(ground, n, r)
     postings = _family_with_bad_blocks(k, n, d, r)
     family = dosp_family(k, n, d)
-    base = _holding(postings, _singleton_parts(ground))
-    images = []
+    signed: dict[Dosp, int] = {}
     for parts in unordered_partitions(ground):
-        held = _members(family, _holding(postings, parts))
-        images.append((len(parts), {spread_bad_parts(q, r, parts) for q in held}))
-    run_free = set(_members(family, _run_free(postings, ground, base)))
-    sign = (-1) ** len(ground)
-    for p in _members(family, base):
-        signed = sum((-1) ** size for size, image in images if p in image)
-        expected = sign if p in run_free else 0
-        if signed != expected:
-            return False
-    return True
+        sign = (-1) ** len(parts)
+        for q in _members(family, _holding(postings, parts)):
+            spread = spread_bad_parts(q, r, parts)
+            signed[spread] = signed.get(spread, 0) + sign
+    nonzero = {p: count for p, count in signed.items() if count}
+    return nonzero == dict.fromkeys(run_free_family(k, n, d, r, ground), (-1) ** len(ground))
 
 
 def _shift_avoiding_top(ground: frozenset[int], n: int) -> frozenset[int]:

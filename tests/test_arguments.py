@@ -5,7 +5,8 @@ of restricted_coeff are only type-checked, since its degenerate values have
 fixed conventions, and so are those of eulerian and eulerian_by_enumeration,
 whose range message names both k and n.  A marked ground set holds ints in
 1..n-1, the ground of sieve_term and the parts of dosps_with_bad_parts
-hold ints in 1..n, and the elements of unordered_partitions are ints."""
+hold ints in 1..n, and the elements of unordered_partitions are ints.
+Elements are checked as given, before any set would merge True into 1."""
 
 import pytest
 
@@ -72,6 +73,7 @@ TAKES_R = {
 # every public function that takes a marked ground set, called on the spec
 TAKES_GROUND = {
     "spread_bad_parts": lambda g: spread_bad_parts(P, 1, [g]),
+    "spread_image": lambda g: spread_image(K, N, D, 1, [g]),
     "run_free_family": lambda g: run_free_family(K, N, D, 1, g),
     "second_winding_vector": lambda g: second_winding_vector(P, 1, g),
     "dosp_from_second_winding_vector": lambda g: dosp_from_second_winding_vector(V, K, 1, g),
@@ -254,6 +256,15 @@ def test_bad_ground_or_part_element_is_refused(name, element):
         error, message = TypeError, f"^ground element {element!r} is not an integer$"
     with pytest.raises(error, match=message):
         call({element})
+
+
+@pytest.mark.parametrize("name", [*TAKES_GROUND, *TAKES_ELEMENTS_UP_TO_N])
+def test_bool_beside_its_equal_int_is_refused(name):
+    # a set of [1, True] would hold 1 alone and pass the checks after it
+    call = TAKES_GROUND.get(name) or TAKES_ELEMENTS_UP_TO_N[name]
+    call([1])
+    with pytest.raises(TypeError, match="^ground element True is not an integer$"):
+        call([1, True])
 
 
 @pytest.mark.parametrize("element", [True, False, 1.0, 1.5, "a", None], ids=repr)

@@ -1,13 +1,14 @@
 import json
 import subprocess
 import sys
+from itertools import count
 from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hstar_lab import cli
+from hstar_lab import cli, sieve
 from hstar_lab.coeffcore import _power_row
 from hstar_lab.sieve import _family_with_bad_blocks, dosp_family
 from hstar_lab.spec import HStarVector, PolytopeSpec
@@ -30,6 +31,76 @@ def validate_lines(stdout: str) -> list[dict]:
     for record in records:
         jsonschema.validate(record, SCHEMA)
     return records
+
+
+def _off_by_one_at(real, at):
+    """real, with the last entry of the vector its call number `at` returns
+    off by one."""
+    calls = count(1)
+
+    def off(*args):
+        v = real(*args)
+        return (*v[:-1], v[-1] + 1) if next(calls) == at else v
+
+    return off
+
+
+def _repeat_at(real, at):
+    """real, except that its call number `at` returns what the call before
+    returned."""
+    results = []
+
+    def repeat(*args):
+        results.append(real(*args))
+        return results[-2] if len(results) == at else results[-1]
+
+    return repeat
+
+
+def _fault(module, name, make):
+    """A patch replacing module.name by make(the real module.name)."""
+    return lambda monkeypatch: monkeypatch.setattr(module, name, make(getattr(module, name)))
+
+
+def _repeating_second_read_off(monkeypatch):
+    # the rebuild returns the member just read, so that only the last
+    # equality of the prop5 check can catch the repeated vector
+    read = []
+
+    def read_off(p, r, ground):
+        read.append(p)
+        return sieve.second_winding_vector(p, r, ground)
+
+    monkeypatch.setattr(cli, "second_winding_vector", _repeat_at(read_off, 50))
+    monkeypatch.setattr(cli, "dosp_from_second_winding_vector", lambda *_: read[-1])
+
+
+# a fault each rewritten verify check must catch: name -> (suite, patch)
+FAULTS = {
+    "prop2-read-off-off-by-one": (
+        "prop2",
+        _fault(cli, "winding_vector", lambda f: _off_by_one_at(f, 10)),
+    ),
+    "prop2-count-off-by-one": ("prop2", _fault(cli, "count_dosps", lambda f: lambda *a: f(*a) + 1)),
+    # call 11 builds the second member of the family (2, 3, 1), call 10 the first
+    "prop2-builder-repeats": (
+        "prop2",
+        _fault(cli, "dosp_from_winding_vector", lambda f: _repeat_at(f, 11)),
+    ),
+    "prop5-read-off-repeats": ("prop5", _repeating_second_read_off),
+    "prop5-stream-short": (
+        "prop5",
+        _fault(cli, "enumerate_second_winding_vectors", lambda f: lambda *a: list(f(*a))[:-1]),
+    ),
+    "prop4-run-free-short": (
+        "prop4",
+        _fault(sieve, "run_free_family", lambda f: lambda *a: f(*a)[:-1]),
+    ),
+    "prop4-spread-is-identity": (
+        "prop4",
+        _fault(sieve, "spread_bad_parts", lambda f: lambda q, r, parts: q),
+    ),
+}
 
 
 class TestHstarCommand:
@@ -275,6 +346,13 @@ class TestVerifyCommand:
         monkeypatch.setitem(cli._SUITES, "lemma1", (cases, lambda *_: False, defaults))
         assert cli.main(["verify", "--suite", "lemma1"]) == 1
         assert capsys.readouterr().out == "FAIL lemma1: first counterexample (1, 1, 1)\n"
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_rewritten_checks_catch_their_faults(self, fault, monkeypatch, capsys):
+        suite, patch = FAULTS[fault]
+        patch(monkeypatch)
+        assert cli.main(["verify", "--suite", suite]) == 1
+        assert capsys.readouterr().out.startswith(f"FAIL {suite}: first counterexample ")
 
     @pytest.mark.parametrize(
         "check, case",
