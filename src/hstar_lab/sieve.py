@@ -264,7 +264,8 @@ def spread_bad_parts(partition: Dosp, r: int, parts) -> Dosp:
 
 def spread_image(k: int, n: int, d: int, r: int, parts) -> frozenset[Dosp]:
     """Image of spread_bad_parts over the family whose r-bad blocks contain
-    the given parts."""
+    the given parts, which are read once (the readers below check them)."""
+    parts = list(map(tuple, parts))
     return frozenset(
         spread_bad_parts(q, r, parts) for q in dosps_with_bad_parts(k, n, d, r, parts)
     )

@@ -1,29 +1,20 @@
+import importlib
 import json
+import re
 import subprocess
-import sys
 from itertools import count
-from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from console import SRC, console_command, run_cli
 from hstar_lab import cli, sieve
 from hstar_lab.coeffcore import _power_row
 from hstar_lab.sieve import _family_with_bad_blocks, dosp_family
-from hstar_lab.spec import HStarVector, PolytopeSpec
+from hstar_lab.spec import HStarVector
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "docs" / "cli-schema.json").read_text(
-        encoding="utf-8"
-    )
-)
-
-
-def run_cli(args: list[str]) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "hstar_lab", *args], capture_output=True, text=True
-    )
+SCHEMA = json.loads((SRC.parent / "docs" / "cli-schema.json").read_text(encoding="utf-8"))
 
 
 def validate_lines(stdout: str) -> list[dict]:
@@ -157,8 +148,10 @@ class TestHstarCommand:
 
     def test_closed_pipe_exits_1_quietly(self):
         args = ["hstar", "--r", "1", "--k", "30", "--n", "60", "--method", "formula"]
+        argv, env = console_command([*args, "--format", "csv"])
         proc = subprocess.Popen(
-            [sys.executable, "-m", "hstar_lab", *args, "--format", "csv"],
+            argv,
+            env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
@@ -376,7 +369,10 @@ class TestEncoding:
         assert cli._encode_int(2**53) == str(2**53)
         assert cli._encode_int(-(2**60)) == str(-(2**60))
 
-    def test_console_entry_point_matches_module(self):
-        spec = PolytopeSpec(1, 2, 4)
-        assert spec.n == 4  # module import sanity for the entry point target
-        assert callable(cli.main)
+    def test_console_script_resolves_to_main(self):
+        # read with re: tomllib is new in Python 3.11, and 3.10 is supported
+        pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+        (scripts,) = re.findall(r"^\[project\.scripts\]\n((?:(?!\[).*\n)*)", pyproject, re.M)
+        (target,) = re.findall(r'^hstar-lab\s*=\s*"(.+)"$', scripts, re.M)
+        module, _, name = target.partition(":")
+        assert getattr(importlib.import_module(module), name) is cli.main

@@ -1,20 +1,22 @@
-"""Byte-for-byte replay of the CLI's output on a fixed golden set.
+"""Byte-for-byte replay of the console's output on a fixed golden set: the one
+table of console checks.
 
 golden/cli_stdout.txt holds one record per command in CASES: a "$ " line
 with the arguments, the stdout lines, the stderr lines prefixed "stderr: ",
-and an "[exit N]" line.  When an output change is intended, regenerate it
-with
+and an "[exit N]" line.  Each record is replayed in a fresh process through
+console.run_cli, so setting HSTAR_LAB_SCRIPT replays the set against an
+installed console script (see console.py).  When an output change is
+intended, regenerate the file through the same runner with
 
-    PYTHONPATH=src python tests/test_golden.py > tests/golden/cli_stdout.txt
+    python tests/test_golden.py > tests/golden/cli_stdout.txt
 """
 
-import contextlib
-import io
+import sys
 from pathlib import Path
 
 import pytest
 
-from hstar_lab import cli
+from console import SRC, run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_stdout.txt"
 
@@ -31,8 +33,15 @@ CASES = [
     "verify --suite prop5 --max-n 4 --max-k 3 --max-r 1",
     "verify --suite eq6 --max-n 4 --max-k 3 --max-r 3",
     "verify --suite eulerian --max-n 6",
+    "verify --suite all",
+    "verify --suite prop4 --max-n 6 --max-k 5",
+    "verify --suite prop2 --max-n 7 --max-k 5",
     "hstar --r 0 --k 1 --n 3",
 ]
+
+# peak resident memory a replay must stay under, in MB: the default sweep
+# peaks at about 20 MB, so 32 MB leaves room for the interpreter
+CEILING_MB = {"verify --suite all": 32}
 
 
 def render(command: str, code: int, out: str, err: str) -> str:
@@ -44,6 +53,11 @@ def render(command: str, code: int, out: str, err: str) -> str:
     lines += [f"stderr: {line}" for line in err.splitlines()]
     lines.append(f"[exit {code}]")
     return "\n".join(lines) + "\n"
+
+
+def replay(command: str, ceilings=CEILING_MB) -> str:
+    result = run_cli(command.split(), ceilings.get(command))
+    return render(command, result.returncode, result.stdout, result.stderr)
 
 
 def golden_records() -> dict[str, str]:
@@ -62,15 +76,42 @@ def test_fixture_covers_every_case():
 
 
 @pytest.mark.parametrize("command", CASES)
-def test_output_matches_golden(command, capsys):
-    code = cli.main(command.split())
-    captured = capsys.readouterr()
-    assert render(command, code, captured.out, captured.err) == golden_records()[command]
+def test_output_matches_golden(command):
+    assert replay(command) == golden_records()[command]
+
+
+class TestReplayCanFail:
+    """The replay and its ceiling catch a wrong console."""
+
+    COMMAND = "hstar --r 0 --k 1 --n 3"
+
+    def test_ceiling_below_the_peak_fails(self):
+        record = replay(self.COMMAND, {self.COMMAND: 1})
+        assert record != golden_records()[self.COMMAND]
+        assert "passes the ceiling of 1 MB\n[exit 1]\n" in record
+
+    @pytest.mark.parametrize("extra, passes", [("", True), ("print('extra line')", False)])
+    def test_script_under_test_is_replayed(self, extra, passes, tmp_path, monkeypatch):
+        # a script importing this checkout's src by itself, as an installed
+        # one would; PYTHONPATH is removed before it runs
+        script = tmp_path / "hstar-lab"
+        script.write_text(
+            f"#!{sys.executable}\n"
+            "import os, sys\n"
+            "assert 'PYTHONPATH' not in os.environ\n"
+            f"sys.path.insert(0, {str(SRC)!r})\n"
+            "from hstar_lab.cli import main\n"
+            "code = main()\n"
+            f"{extra}\n"
+            "sys.exit(code)\n"
+        )
+        script.chmod(0o755)
+        monkeypatch.setenv("HSTAR_LAB_SCRIPT", str(script))
+        monkeypatch.setenv("PYTHONPATH", "unused")
+        assert (replay(self.COMMAND) == golden_records()[self.COMMAND]) is passes
 
 
 if __name__ == "__main__":
+    # the fixture holds output only: a ceiling is checked on replay
     for command in CASES:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(command.split())
-        print(render(command, code, out.getvalue(), err.getvalue()), end="")
+        print(replay(command, ceilings={}), end="")

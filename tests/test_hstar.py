@@ -171,14 +171,6 @@ class TestLemma1:
     def test_unit_bound(self):
         assert check_lemma1(1, 1, 1)
 
-    def test_sweep(self):
-        assert all(
-            check_lemma1(n, m, a)
-            for n in range(1, 13)
-            for m in range(1, 13)
-            for a in range(1, 7)
-        )
-
 
 class TestProp1:
     def test_s_zero_is_trivial(self):
