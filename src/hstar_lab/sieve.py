@@ -4,24 +4,24 @@ r-hypersimplicial count.
 The sieve works over a ground set T of elements in 1..n-1 that are forced to
 sit in r-bad blocks.  Integer arguments are checked by spec._require_ints and
 the elements of T, or of parts, by _require_ground; dosps_with_bad_parts and
-sieve_term, which check_prop3 gives {1..n}, also accept n.  For a set
-partition S of T, dosps_with_bad_parts lists the partitions whose r-bad blocks
-contain every part of S; sieve_term is the signed sum of those family sizes
-over all S.  Every partition in the sieve can be spread into one whose forced
-elements are bad singleton blocks (spread_bad_parts); runs of consecutive
-marked singleton blocks at gap exactly r with increasing elements are the
-obstruction.  Every such run starts with a packed pair (_packed_pairs), and
-run_free_family, the one reader of the pair postings, drops the members
-carrying a pair of marked elements.  Run-free members are counted by second
-winding vectors, plain tuples like winding vectors: color the spot of each
-marked singleton and its r-1 trailing empties red, and record blue spots
-passed between consecutive elements: dosp's winding-vector read-off,
-_spots_passed, with the red spots skipped.  dosp_from_second_winding_vector checks every
-bound of a vector it is given; second_winding_vector checks only the one its
-read-off can break, a zero entry for a marked element; the stream is in
-bounds by construction.  check_prop3 and check_prop4 verify the two
-collapsing steps of the sieve, and sieve_term_closed_form is the resulting
-closed form, checked by the eq6 sweep.
+sieve_term also accept n, since check_prop3 sums sieve_term over every subset
+of {1..n}.  For a set partition S of T, dosps_with_bad_parts lists the
+partitions whose r-bad blocks contain every part of S; sieve_term is the
+signed sum of those family sizes over all S.  Every partition in the sieve can
+be spread into one whose forced elements are bad singleton blocks
+(spread_bad_parts); runs of consecutive marked singleton blocks at gap exactly
+r with increasing elements are the obstruction.  Every such run starts with a
+packed pair (_packed_pairs), and run_free_family, the one reader of the pair
+postings, drops the members carrying a pair of marked elements.  Run-free
+members are counted by second winding vectors, plain tuples like winding
+vectors: color the spot of each marked singleton and its r-1 trailing empties
+red, and record blue spots passed between consecutive elements: dosp's
+winding-vector read-off, _spots_passed, with the red spots skipped.
+dosp_from_second_winding_vector checks every bound of a vector it is given;
+second_winding_vector checks only the one its read-off can break, a zero entry
+for a marked element; the stream is in bounds by construction.  check_prop3
+and check_prop4 verify the two collapsing steps of the sieve, and
+sieve_term_closed_form is the resulting closed form, checked by the eq6 sweep.
 
 The materialized families (dosp_family) and their postings are cached
 within 32 MiB of charged bytes, so memory stays bounded.  Members are slotted
@@ -439,24 +439,9 @@ def check_prop4(k: int, n: int, d: int, r: int, ground: Iterable[int]) -> bool:
     return nonzero == dict.fromkeys(run_free_family(k, n, d, r, ground), (-1) ** len(ground))
 
 
-def _shift_avoiding_top(ground: frozenset[int], n: int) -> frozenset[int]:
-    """Cyclic relabeling of a proper subset so that n drops out; the sieve
-    term is invariant under such shifts."""
-    free = next(g for g in range(1, n + 1) if g not in ground)
-    s = (n - free) % n
-    return frozenset((t - 1 + s) % n + 1 for t in ground)
-
-
 def check_prop3(k: int, n: int, r: int, d: int) -> bool:
-    """The sieve terms over all subsets of {1..n} must sum to the number of
-    r-hypersimplicial partitions of type (k, n) with winding number d.
-    Subsets containing n (other than the full set) are first shifted away
-    from n, which leaves their term unchanged."""
+    """Prop 3 as stated: the sieve terms of all subsets of {1..n} sum to the
+    count of r-hypersimplicial partitions of type (k, n), winding number d."""
     _require_ints(k=k, n=n, r=r, d=d)
-    total = 0
-    for mask in range(2**n):
-        ground = _block_of_mask(mask)
-        if n in ground and len(ground) < n:
-            ground = _shift_avoiding_top(ground, n)
-        total += sieve_term(k, n, d, r, ground)
+    total = sum(sieve_term(k, n, d, r, _block_of_mask(mask)) for mask in range(2**n))
     return total == count_r_hypersimplicial(k, n, r, d)

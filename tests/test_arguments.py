@@ -277,7 +277,7 @@ def test_unordered_partitions_refuses_a_non_int_element(element):
 
 @pytest.mark.parametrize("name", TAKES_ELEMENTS_UP_TO_N)
 def test_sieve_term_ground_and_parts_may_hold_n(name):
-    # check_prop3 passes the full ground {1..n} to sieve_term
+    # check_prop3 passes every subset of {1..n} to sieve_term
     TAKES_ELEMENTS_UP_TO_N[name]({N})
 
 

@@ -91,6 +91,16 @@ FAULTS = {
         "prop4",
         _fault(sieve, "spread_bad_parts", lambda f: lambda q, r, parts: q),
     ),
+    # only a check that gives sieve_term the grounds holding n can see this
+    "prop3-term-holding-n-off-by-one": (
+        "prop3",
+        _fault(
+            sieve,
+            "sieve_term",
+            lambda f: lambda k, n, d, r, ground: f(k, n, d, r, ground)
+            + (n in ground and len(ground) < n),
+        ),
+    ),
 }
 
 
@@ -286,21 +296,6 @@ class TestEnumCommand:
 
 
 class TestVerifyCommand:
-    def test_small_lemma1_suite(self):
-        result = run_cli(["verify", "--suite", "lemma1", "--max-n", "6", "--max-k", "3"])
-        assert result.returncode == 0
-        assert result.stdout.startswith("PASS lemma1:")
-
-    def test_small_prop2_suite(self):
-        result = run_cli(["verify", "--suite", "prop2", "--max-n", "4", "--max-k", "3"])
-        assert result.returncode == 0
-        assert result.stdout.startswith("PASS prop2:")
-
-    def test_eulerian_suite(self):
-        result = run_cli(["verify", "--suite", "eulerian", "--max-n", "6"])
-        assert result.returncode == 0
-        assert result.stdout.startswith("PASS eulerian:")
-
     def test_vacuous_sweep_fails(self):
         result = run_cli(["verify", "--suite", "prop3", "--max-n", "1"])
         assert result.returncode == 1

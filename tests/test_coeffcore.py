@@ -64,27 +64,6 @@ class TestRestrictedCoeff:
                 for b, c in enumerate(row):
                     assert restricted_coeff(n, b, a) == c
 
-    def test_matches_per_element_sliding_window(self):
-        # the per-element loop the prefix-sum kernel replaced, kept as reference
-        def sliding_window_row(n, a):
-            row = [1]
-            for i in range(1, n + 1):
-                out = [0] * ((a - 1) * i + 1)
-                acc = 0
-                for j in range(len(out)):
-                    if j < len(row):
-                        acc += row[j]
-                    if 0 <= j - a < len(row):
-                        acc -= row[j - a]
-                    out[j] = acc
-                row = out
-            return row
-
-        for n in range(0, 13):
-            for a in range(1, 10):
-                expected = sliding_window_row(n, a)
-                assert [restricted_coeff(n, b, a) for b in range(len(expected))] == expected
-
     def test_matches_prefix_sum_kernel(self):
         # the prefix-sum kernel the three-term recurrence replaced, kept as
         # reference; the grid has rows of odd and of even length

@@ -283,12 +283,6 @@ class TestBadBlocks:
                 for r in (1, 2):
                     assert is_r_hypersimplicial(p, r) == (not r_bad_blocks(p, r))
 
-    def test_rejects_bad_r(self):
-        with pytest.raises(ValueError):
-            r_bad_blocks(ex1(), 0)
-        with pytest.raises(ValueError):
-            is_r_hypersimplicial(ex1(), 0)
-
 
 class TestFromWindingVector:
     def test_figure_construction(self):
@@ -313,15 +307,6 @@ class TestFromWindingVector:
             dosp_from_winding_vector((0, 1), 3)
         with pytest.raises(ValueError):
             dosp_from_winding_vector((), 3)
-
-    def test_round_trip_exhaustive_small(self):
-        for k in range(1, 4):
-            for n in range(1, 5):
-                for d in range(n):
-                    for w in enumerate_winding_vectors(k, n, d):
-                        p = dosp_from_winding_vector(w, k)
-                        assert winding_vector(p) == w
-                        assert winding_number(p) == d
 
     @given(winding_inputs())
     def test_round_trip_property(self, wk):
@@ -407,13 +392,13 @@ class TestCyclicShift:
         with pytest.raises(ValueError):
             cyclic_shift_elements(ex1(), -1)
 
-    def test_winding_number_invariance_small(self):
-        for k in range(1, 4):
-            for n in range(1, 5):
-                for d in range(n):
-                    for p in iter_dosps(k, n, d):
-                        for s in range(n):
-                            assert winding_number(cyclic_shift_elements(p, s)) == d
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_winding_number_invariance_small(self, k):
+        for n in range(1, 6):
+            for d in range(n):
+                for p in iter_dosps(k, n, d):
+                    for s in range(n):
+                        assert winding_number(cyclic_shift_elements(p, s)) == d
 
     @given(winding_inputs(), st.integers(0, 5))
     def test_winding_number_invariance_property(self, wk, s):

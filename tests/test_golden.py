@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from console import SRC, run_cli
+from hstar_lab.cli import _SUITES
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_stdout.txt"
 
@@ -78,6 +79,14 @@ def test_fixture_covers_every_case():
 @pytest.mark.parametrize("command", CASES)
 def test_output_matches_golden(command):
     assert replay(command) == golden_records()[command]
+
+
+@pytest.mark.parametrize("index, suite", enumerate(_SUITES))
+def test_verify_all_record_passes_every_suite(index, suite):
+    # the one run of every suite at its default bounds: tests defer to it
+    _, *lines, exit_line = golden_records()["verify --suite all"].splitlines()
+    assert len(lines) == len(_SUITES) and lines[index].startswith(f"PASS {suite}:")
+    assert exit_line == "[exit 0]"
 
 
 class TestReplayCanFail:

@@ -46,11 +46,11 @@ class TestHStarFromOracle:
             assert lattice_count(spec, t) == math.comb(t + 2, 2)
 
     def test_matches_closed_form(self):
-        for r in (1, 2, 3, 4):
-            for n in range(2, 11):
-                for k in range(1, min(r * n - 1, 6) + 1):
-                    spec = PolytopeSpec(r, k, n)
-                    assert hstar_from_oracle(spec).entries == hstar_closed_form(spec).entries
+        # r <= 3 is in the oracle sweep of test_hstar.py
+        for n in range(2, 11):
+            for k in range(1, 7):
+                spec = PolytopeSpec(4, k, n)
+                assert hstar_from_oracle(spec).entries == hstar_closed_form(spec).entries
 
     def test_matches_closed_form_beyond_enum_reach(self):
         for r, n in [(1, 60), (2, 40), (2, 50), (3, 45), (1, 80)]:
