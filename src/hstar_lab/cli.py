@@ -220,24 +220,33 @@ def _check_eulerian(kind, k, n) -> bool:
     return eulerian(k, n) == eulerian_by_enumeration(k, n)
 
 
-# suite -> (cases(max_n, max_k, max_r), check(*case), default (max_n, max_k, max_r))
+# suite -> (cases(max_n, max_k, max_r), check(*case), default (max_n, max_k, max_r)),
+# with None for a bound the suite does not read
 _SUITES = {
-    "lemma1": (_lemma1_cases, check_lemma1, (12, 6, 1)),
-    "prop1": (_prop1_cases, partial(check_prop1, max_degree=10), (8, 4, 1)),
-    "prop2": (_prop2_cases, _check_prop2, (5, 4, 1)),
+    "lemma1": (_lemma1_cases, check_lemma1, (12, 6, None)),
+    "prop1": (_prop1_cases, partial(check_prop1, max_degree=10), (8, 4, None)),
+    "prop2": (_prop2_cases, _check_prop2, (5, 4, None)),
     "prop3": (partial(_sieve_cases, capped=True), check_prop3, (5, 5, 2)),
     "prop4": (partial(_sieve_cases, ground_size=3, capped=True), _check_prop4, (5, 4, 2)),
     "prop5": (partial(_sieve_cases, ground_size=2), _check_prop5, (6, 6, 2)),
     "eq6": (partial(_sieve_cases, ground_size=3), _check_eq6, (6, 6, 2)),
-    "eulerian": (_eulerian_cases, _check_eulerian, (9, 0, 0)),
+    "eulerian": (_eulerian_cases, _check_eulerian, (9, None, None)),
 }
 
 
 def cmd_verify(args) -> int:
+    flags = ("--max-n", "--max-k", "--max-r")
     given = (args.max_n, args.max_k, args.max_r)
-    for flag, value in zip(("--max-n", "--max-k", "--max-r"), given):
+    for flag, value in zip(flags, given):
         if value is not None and value < 0:
             print(f"error: {flag} must be nonnegative", file=sys.stderr)
+            return 1
+    if args.suite != "all":
+        # one suite given a bound it never reads would silently run its default sweep
+        defaults = _SUITES[args.suite][2]
+        unread = [f for f, v, d in zip(flags, given, defaults) if v is not None and d is None]
+        if unread:
+            print(f"error: suite {args.suite} does not read {' or '.join(unread)}", file=sys.stderr)
             return 1
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     all_ok = True

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .spec import _require_ints
+from .spec import _Frozen, _require_ints
 
 __all__ = [
     "Dosp",
@@ -37,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Dosp:
+class Dosp(_Frozen):
     """Ordered blocks partitioning {1..n} with positive gap labels summing to k.
 
     Dosp(...) checks its input item by item and names the first fault.
@@ -48,14 +46,11 @@ class Dosp:
     the fields without these checks.
     """
 
-    blocks: tuple[frozenset[int], ...]
-    gaps: tuple[int, ...]
-    k: int
-    n: int
+    __slots__ = ("blocks", "gaps", "k", "n")
 
-    def __post_init__(self):
-        _require_ints(k=self.k, n=self.n)
-        blocks, gaps = tuple(self.blocks), tuple(self.gaps)
+    def __init__(self, blocks: Iterable[Iterable[int]], gaps: Iterable[int], k: int, n: int):
+        _require_ints(k=k, n=n)
+        blocks, gaps = tuple(blocks), tuple(gaps)
         if not blocks:
             raise ValueError("at least one block is required")
         if len(blocks) != len(gaps):
@@ -75,13 +70,13 @@ class Dosp:
                     raise TypeError(f"element {e!r} is not an integer")
                 if e in seen:
                     raise ValueError(f"duplicate element {e}")
-                if not 1 <= e <= self.n:
-                    raise ValueError(f"element {e} outside 1..{self.n}")
+                if not 1 <= e <= n:
+                    raise ValueError(f"element {e} outside 1..{n}")
                 seen.add(e)
-        if total != self.k:
-            raise ValueError(f"gap labels sum to {total}, expected k={self.k}")
-        if len(seen) != self.n:
-            missing = sorted(set(range(1, self.n + 1)) - seen)
+        if total != k:
+            raise ValueError(f"gap labels sum to {total}, expected k={k}")
+        if len(seen) != n:
+            missing = sorted(set(range(1, n + 1)) - seen)
             raise ValueError(f"missing elements {missing}")
         # stored canonical, as a tuple of frozensets from the block holding 1
         # and a tuple of gaps, so equal partitions hash equal
@@ -89,6 +84,20 @@ class Dosp:
         i = next(i for i, block in enumerate(blocks) if 1 in block)
         object.__setattr__(self, "blocks", blocks[i:] + blocks[:i])
         object.__setattr__(self, "gaps", gaps[i:] + gaps[:i])
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+
+    # the field tuples written out: prop5 compares and prop2 and prop4 hash
+    # partitions by the thousand
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.blocks, self.gaps, self.k, self.n) == (
+            other.blocks, other.gaps, other.k, other.n
+        )
+
+    def __hash__(self):
+        return hash((self.blocks, self.gaps, self.k, self.n))
 
     def __str__(self) -> str:
         return format_dosp(self)

@@ -1,56 +1,91 @@
-"""The slice, its h*-vector, the integer-argument rule and the cache bounded
-by bytes: all that the formula (hstar, coeffcore), enum (enumeration, dosp)
-and oracle modules share.  It imports nothing from the package, so the three
-methods meet only here and share no arithmetic.
+"""The slice, its h*-vector, the frozen record base, the integer-argument
+rule and the cache bounded by bytes: all that the formula (hstar, coeffcore),
+enum (enumeration, dosp) and oracle modules share.  It imports nothing from
+the package, so the three methods meet only here and share no arithmetic.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
-from dataclasses import dataclass
 from functools import wraps
+from typing import Iterable
 
 __all__ = ["PolytopeSpec", "HStarVector"]
 
 
-@dataclass(frozen=True)
-class PolytopeSpec:
+class _Frozen:
+    """Base of the frozen record classes PolytopeSpec, HStarVector and
+    dosp.Dosp.  A subclass names its fields in __slots__ and stores them with
+    object.__setattr__ in its __init__; assigning or deleting a field then
+    raises AttributeError.  Two records are equal when they are of the same
+    class with equal fields, and hash as the tuple of their fields.  Pickle
+    and copy rebuild a record through its __init__."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class PolytopeSpec(_Frozen):
     """The slice of the cube [0, r]**n at coordinate sum k; r = 1 gives the
     hypersimplex.  Requires ints with 0 < k < r*n so the slice has dimension n - 1."""
 
-    r: int
-    k: int
-    n: int
+    __slots__ = ("r", "k", "n")
 
-    def __post_init__(self):
-        _require_ints({}, r=self.r, k=self.k, n=self.n)  # types only: the CLI prints the ranges
-        if self.r < 1:
+    def __init__(self, r: int, k: int, n: int):
+        _require_ints({}, r=r, k=k, n=n)  # types only: the CLI prints the ranges
+        if r < 1:
             raise ValueError("coordinate cap r must be at least 1")
-        if self.n < 2:
+        if n < 2:
             raise ValueError("ambient dimension n must be at least 2")
-        if not 0 < self.k < self.r * self.n:
-            raise ValueError(f"slice level k={self.k} must satisfy 0 < k < r*n = {self.r * self.n}")
+        if not 0 < k < r * n:
+            raise ValueError(f"slice level k={k} must satisfy 0 < k < r*n = {r * n}")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
 
 
-@dataclass(frozen=True)
-class HStarVector:
+class HStarVector(_Frozen):
     """Entries h*_0 .. h*_{n-1} of the Ehrhart series numerator of a slice.
 
     Entries are nonnegative integers with h*_0 = 1; their sum is the
     normalized volume of the slice.  Any sequence is stored as a tuple.
     """
 
-    entries: tuple[int, ...]
-    spec: PolytopeSpec
+    __slots__ = ("entries", "spec")
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if len(self.entries) != self.spec.n:
+    def __init__(self, entries: Iterable[int], spec: PolytopeSpec):
+        entries = tuple(entries)
+        if len(entries) != spec.n:
             raise ValueError("one entry per degree 0..n-1 is required")
-        if any(e < 0 for e in self.entries):
+        if any(e < 0 for e in entries):
             raise ValueError("h*-vector entries must be nonnegative")
-        if self.entries[0] != 1:
+        if entries[0] != 1:
             raise ValueError("h*_0 must be 1")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "spec", spec)
 
     def total(self) -> int:
         """Sum of the entries, the normalized volume."""

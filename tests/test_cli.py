@@ -1,7 +1,9 @@
 import importlib
 import json
+import os
 import re
 import subprocess
+import sys
 from itertools import count
 
 import jsonschema
@@ -233,6 +235,25 @@ class TestParserReuse:
         assert json.loads(capsys.readouterr().out)["hstar"] == [1, 2, 1, 0]
 
 
+# exits 1, naming them, when importing the console and building its parser
+# loads dataclasses or inspect, which with ast, dis and tokenize made up about
+# a quarter of that start-up; CI runs the same line with the built package
+START_UP_CHECK = (
+    "import sys, hstar_lab.cli; hstar_lab.cli.build_parser(); "
+    "sys.exit(sorted({'dataclasses', 'inspect'} & set(sys.modules)) or None)"
+)
+
+
+class TestStartUp:
+    # the second row shows that the check fails when a start-up loads inspect
+    @pytest.mark.parametrize("prelude, err", [("", ""), ("import inspect; ", "['inspect']\n")])
+    def test_console_loads_neither_dataclasses_nor_inspect(self, prelude, err):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        argv = [sys.executable, "-c", prelude + START_UP_CHECK]
+        result = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert (result.returncode, result.stderr) == (1 if err else 0, err)
+
+
 class TestEnumCommand:
     def test_six_records(self):
         result = run_cli(["enum", "--k", "2", "--n", "4", "--d", "1"])
@@ -308,6 +329,33 @@ class TestVerifyCommand:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: {flag} must be nonnegative\n"
+
+    @pytest.mark.parametrize(
+        "suite, flag",
+        [
+            ("lemma1", "--max-r"),
+            ("prop1", "--max-r"),
+            ("prop2", "--max-r"),
+            ("eulerian", "--max-k"),
+            ("eulerian", "--max-r"),
+        ],
+    )
+    def test_unread_bound_is_a_one_line_error(self, suite, flag, capsys):
+        assert cli.main(["verify", "--suite", suite, flag, "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: suite {suite} does not read {flag}\n"
+
+    def test_all_applies_each_bound_to_the_suites_that_read_it(self, capsys):
+        bounds = [("--max-n", "3"), ("--max-k", "2"), ("--max-r", "1")]
+        assert cli.main(["verify", "--suite", "all", *(x for pair in bounds for x in pair)]) == 0
+        together = capsys.readouterr().out
+        alone = ""
+        for name, (_, _, defaults) in cli._SUITES.items():
+            read = [x for pair, d in zip(bounds, defaults) if d is not None for x in pair]
+            assert cli.main(["verify", "--suite", name, *read]) == 0
+            alone += capsys.readouterr().out
+        assert together == alone and together.count("PASS ") == len(cli._SUITES)
 
     def test_default_case_counts(self, capsys):
         cached = {dosp_family: 120, _family_with_bad_blocks: 240, _power_row: 81}

@@ -34,6 +34,7 @@ CASES = [
     "verify --suite prop5 --max-n 4 --max-k 3 --max-r 1",
     "verify --suite eq6 --max-n 4 --max-k 3 --max-r 3",
     "verify --suite eulerian --max-n 6",
+    "verify --suite eulerian --max-k 1",
     "verify --suite all",
     "verify --suite prop4 --max-n 6 --max-k 5",
     "verify --suite prop2 --max-n 7 --max-k 5",

@@ -1,5 +1,6 @@
 import math
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,8 @@ from hstar_lab.hstar import (
 )
 from hstar_lab.oracle import hstar_from_oracle
 from hstar_lab.spec import HStarVector, PolytopeSpec
+import reciprocity
+from reciprocity import reciprocity_faults
 
 
 class TestClosedForm:
@@ -140,6 +143,43 @@ class TestIndependentChecks:
         assert formula == hstar_from_oracle(PolytopeSpec(r, k, n)).entries
         assert sum(formula) == _volume(r, k, n)
         assert formula == hstar_closed_form(PolytopeSpec(r, r * n - k, n)).entries
+
+
+class TestReciprocity:
+    """Both routes against the interior points of the dilates (reciprocity.py)."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_every_spec_up_to_n_12(self, r):
+        for n in range(2, 13):
+            for k in range(1, r * n):
+                for method in (hstar_closed_form, hstar_from_oracle):
+                    entries = method(PolytopeSpec(r, k, n)).entries
+                    assert reciprocity_faults(r, k, n, entries) == [], (r, k, n, method)
+
+    @pytest.mark.parametrize("n", [20, 40, 60])
+    def test_sampled_grid(self, n):
+        for r in (1, 2, 3):
+            for k in range(n // 4, r * n, n // 4):
+                for method in (hstar_closed_form, hstar_from_oracle):
+                    entries = method(PolytopeSpec(r, k, n)).entries
+                    assert reciprocity_faults(r, k, n, entries) == [], (r, k, n, method)
+
+    def test_hypersimplex_at_n_100(self):
+        formula = hstar_closed_form(PolytopeSpec(1, 50, 100)).entries
+        assert formula == hstar_from_oracle(PolytopeSpec(1, 50, 100)).entries
+        assert reciprocity_faults(1, 50, 100, formula) == []
+
+    def test_rejects_one_moved_from_h2_to_h1(self):
+        # the sum of the entries, the normalized volume, stays the same
+        entries = list(hstar_closed_form(PolytopeSpec(2, 5, 8)).entries)
+        assert reciprocity_faults(2, 5, 8, entries) == []
+        entries[1] += 1
+        entries[2] -= 1
+        faults = reciprocity_faults(2, 5, 8, entries)
+        assert faults == ["h*_1", "L°(6)", "L°(7)", "L°(8)", "L°(9)"]
+
+    def test_helper_imports_nothing_from_the_package(self):
+        assert "hstar_lab" not in Path(reciprocity.__file__).read_text(encoding="utf-8")
 
 
 class TestRawNumerator:

@@ -1,7 +1,8 @@
 """The three methods agree as independent checks only while they share no
 core arithmetic.  Each method's transitive import closure within hstar_lab
 is read off the source with ast, and any two closures may meet only in spec,
-the leaf module that holds the slice, its h*-vector and the argument rule."""
+the leaf module that holds the slice, its h*-vector, the frozen record
+base and the argument rule."""
 
 import ast
 from itertools import combinations

@@ -1,7 +1,7 @@
 import copy
 import pickle
 import tracemalloc
-from dataclasses import FrozenInstanceError, dataclass, fields
+from dataclasses import fields, make_dataclass
 from itertools import combinations
 from math import comb
 
@@ -21,7 +21,7 @@ from hstar_lab.dosp import (
     winding_vector,
 )
 from hstar_lab.enumeration import enumerate_winding_vectors, iter_dosps
-from hstar_lab.hstar import count_dosps
+from hstar_lab.hstar import count_dosps, hstar_closed_form
 from hstar_lab.sieve import (
     _family_with_bad_blocks,
     _normalize_parts,
@@ -41,6 +41,7 @@ from hstar_lab.sieve import (
     spread_image,
     unordered_partitions,
 )
+from hstar_lab.spec import HStarVector, PolytopeSpec
 from spot_diagram import SpotDiagram
 
 BELL = [1, 1, 2, 5, 15, 52, 203]
@@ -420,47 +421,64 @@ class TestFamilyCaches:
             assert (fn.__module__, fn.__name__) == (module, name)
 
 
-@dataclass(frozen=True)
-class _PlainDosp:
-    blocks: tuple
-    gaps: tuple
-    k: int
-    n: int
-
-
-# each record class with the unslotted frozen dataclass it replaced
-_PLAIN = {Dosp: _PlainDosp}
+# each record class with the plain frozen dataclass of the same name and
+# fields, whose equality, hash and repr it must keep
+_PLAIN = {
+    Dosp: make_dataclass("Dosp", ["blocks", "gaps", "k", "n"], frozen=True),
+    PolytopeSpec: make_dataclass("PolytopeSpec", ["r", "k", "n"], frozen=True),
+    HStarVector: make_dataclass("HStarVector", ["entries", "spec"], frozen=True),
+}
 
 
 def _records():
-    """Every partition with k <= 4 and n <= 4, grouped by class."""
+    """Every partition with k <= 4 and n <= 4, every slice with r <= 3 and
+    n <= 4, and the h*-vector of each slice, grouped by class."""
     grid = {cls: [] for cls in _PLAIN}
     for k in range(1, 5):
         for n in range(1, 5):
             for d in range(n):
                 grid[Dosp].extend(dosp_family(k, n, d))
+    for r in range(1, 4):
+        for n in range(2, 5):
+            for k in range(1, r * n):
+                grid[PolytopeSpec].append(PolytopeSpec(r, k, n))
+                grid[HStarVector].append(hstar_closed_form(PolytopeSpec(r, k, n)))
     return grid
 
 
-def _plain(record):
-    return _PLAIN[type(record)](*(getattr(record, f.name) for f in fields(record)))
+def _plain(value):
+    """The value with every record in it, nested ones too, made plain."""
+    if type(value) not in _PLAIN:
+        return value
+    return _PLAIN[type(value)](*(_plain(getattr(value, name)) for name in value.__slots__))
 
 
 class TestSlottedRecords:
     @pytest.mark.parametrize("cls", list(_PLAIN))
     def test_no_instance_dict(self, cls):
         record = _records()[cls][-1]
-        assert cls.__slots__ == tuple(f.name for f in fields(cls))
+        assert cls.__slots__ == tuple(f.name for f in fields(_PLAIN[cls]))
         assert not hasattr(record, "__dict__")
 
     @pytest.mark.parametrize("cls", list(_PLAIN))
     def test_fields_are_frozen_and_no_others_attach(self, cls):
         record = _records()[cls][-1]
-        for f in fields(cls):
-            with pytest.raises(FrozenInstanceError):
-                setattr(record, f.name, None)
+        for name in cls.__slots__:
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$") as exc:
+                setattr(record, name, None)
+            assert exc.type is AttributeError
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                delattr(record, name)
         with pytest.raises(AttributeError):
             object.__setattr__(record, "extra", None)
+
+    @pytest.mark.parametrize("cls", list(_PLAIN))
+    def test_equal_fields_in_a_subclass_are_unequal(self, cls):
+        # as between dataclasses, equality needs the same class
+        record = _records()[cls][-1]
+        sub = type(cls.__name__, (cls,), {})
+        twin = sub(*(getattr(record, name) for name in cls.__slots__))
+        assert record != twin and twin != record
 
     def test_pickle_and_deepcopy_round_trip(self):
         for records in _records().values():
@@ -468,15 +486,16 @@ class TestSlottedRecords:
                 for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
                     assert type(clone) is type(record)
                     assert clone == record and hash(clone) == hash(record)
+                    assert repr(clone) == repr(record)
                     assert not hasattr(clone, "__dict__")
 
-    def test_hash_and_eq_match_plain_dataclasses(self):
-        for cls, records in _records().items():
-            assert "__slots__" in vars(cls)
-            plain = [_plain(x) for x in records]
-            assert [hash(x) for x in records] == [hash(y) for y in plain]
-            for x, px in zip(records, plain):
-                assert [x == y for y in records] == [px == py for py in plain]
+    def test_hash_eq_and_repr_match_plain_dataclasses(self):
+        records = [x for group in _records().values() for x in group]
+        plain = [_plain(x) for x in records]
+        assert [hash(x) for x in records] == [hash(y) for y in plain]
+        assert [repr(x) for x in records] == [repr(y) for y in plain]
+        for x, px in zip(records, plain):
+            assert [x == y for y in records] == [px == py for py in plain]
 
 
 class TestSieveTerm:
