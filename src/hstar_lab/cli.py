@@ -93,9 +93,13 @@ def cmd_hstar(args) -> int:
 
 
 def cmd_enum(args) -> int:
-    if args.k < 1 or args.n < 1 or args.d < 0 or args.r < 1:
+    if args.k < 1 or args.n < 1 or args.d < 0 or (args.r is not None and args.r < 1):
         print("error: k, n and r must be positive and d nonnegative", file=sys.stderr)
         return 1
+    if args.r is not None and not args.hypersimplicial:
+        print("error: --r is read only with --hypersimplicial", file=sys.stderr)
+        return 1
+    r = 1 if args.r is None else args.r
     if args.limit is not None and args.limit < 0:
         print("error: --limit must be nonnegative", file=sys.stderr)
         return 1
@@ -103,7 +107,7 @@ def cmd_enum(args) -> int:
     truncated = False
     for w in enumerate_winding_vectors(args.k, args.n, args.d):
         partition = dosp_from_winding_vector(w, args.k)
-        if args.hypersimplicial and not is_r_hypersimplicial(partition, args.r):
+        if args.hypersimplicial and not is_r_hypersimplicial(partition, r):
             continue
         if args.limit is not None and count >= args.limit:
             truncated = True
@@ -286,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--k", type=int, required=True)
     p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--d", type=int, required=True)
-    p_enum.add_argument("--r", type=int, default=1, help="cap used by --hypersimplicial")
+    p_enum.add_argument("--r", type=int, default=None, help="cap of --hypersimplicial, default 1")
     p_enum.add_argument(
         "--hypersimplicial",
         action="store_true",

@@ -383,24 +383,21 @@ def dosp_from_second_winding_vector(
     # any, followed by r spots per marked element, largest first
     marked = sum(1 << (t - 1) for t in ground)
     unmarked = ~marked
-    # element 1 lies in the expansion of blue spot 0: on its first spot when
-    # unmarked, else behind the larger marked elements there.  Starting that
-    # many spots before spot 0 puts its block there, as the builder needs.
-    one = 1 + r * ((on_blue[0] & marked).bit_count() - 1) if marked & 1 else 0
-    masks = [0] * k
-    pos = -one
+    pad = [0] * (r - 1)
+    masks = []
     for mask in on_blue:
-        if mask & unmarked:
-            masks[pos % k] = mask & unmarked
-        pos += 1
+        masks.append(mask & unmarked)
         mask &= marked
         while mask:
             top = 1 << (mask.bit_length() - 1)
-            masks[pos % k] = top
-            pos += r
+            masks.append(top)
+            masks += pad
             mask ^= top
-    if pos + one != k:
+    if len(masks) != k:
         raise AssertionError("spot expansion must fill the whole circle")
+    if marked & 1:  # element 1 sits alone on its spot: turn that spot to spot 0
+        one = masks.index(1)
+        masks = masks[one:] + masks[:one]
     return _dosp_from_spot_masks(masks, k, len(v))
 
 

@@ -6,24 +6,15 @@ import subprocess
 import sys
 from itertools import count
 
-import jsonschema
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from console import SRC, console_command, run_cli
+from console import SRC, console_command
 from hstar_lab import cli, sieve
 from hstar_lab.coeffcore import _power_row
 from hstar_lab.sieve import _family_with_bad_blocks, dosp_family
 from hstar_lab.spec import HStarVector
-
-SCHEMA = json.loads((SRC.parent / "docs" / "cli-schema.json").read_text(encoding="utf-8"))
-
-
-def validate_lines(stdout: str) -> list[dict]:
-    records = [json.loads(line) for line in stdout.splitlines() if line]
-    for record in records:
-        jsonschema.validate(record, SCHEMA)
-    return records
+from test_golden import golden_records, render
 
 
 def _off_by_one_at(real, at):
@@ -107,57 +98,6 @@ FAULTS = {
 
 
 class TestHstarCommand:
-    def test_all_methods_agree(self):
-        result = run_cli(["hstar", "--r", "1", "--k", "2", "--n", "4", "--method", "all"])
-        assert result.returncode == 0, result.stderr
-        records = validate_lines(result.stdout)
-        assert [rec["method"] for rec in records] == ["formula", "enum", "oracle", "all"]
-        for rec in records[:3]:
-            assert rec["hstar"] == [1, 2, 1, 0]
-        assert records[3]["agree"] is True
-        assert records[3]["hstar"] == [1, 2, 1, 0]
-
-    def test_unit_simplex(self):
-        result = run_cli(["hstar", "--r", "1", "--k", "1", "--n", "5", "--method", "formula"])
-        assert result.returncode == 0
-        (record,) = validate_lines(result.stdout)
-        assert record["hstar"] == [1, 0, 0, 0, 0]
-
-    def test_invalid_spec_exits_1(self):
-        result = run_cli(["hstar", "--r", "1", "--k", "5", "--n", "5"])
-        assert result.returncode == 1
-        assert result.stdout == ""
-        assert "error" in result.stderr
-
-    def test_csv_format(self):
-        result = run_cli(
-            ["hstar", "--r", "1", "--k", "2", "--n", "4", "--method", "formula", "--format", "csv"]
-        )
-        assert result.returncode == 0
-        lines = result.stdout.splitlines()
-        assert lines[0] == "r,k,n,method,d,value"
-        assert lines[1] == "1,2,4,formula,0,1"
-        assert lines[2] == "1,2,4,formula,1,2"
-
-    def test_csv_agree_row(self):
-        result = run_cli(["hstar", "--r", "2", "--k", "3", "--n", "3", "--format", "csv"])
-        assert result.returncode == 0
-        assert result.stdout.splitlines()[-1] == "2,3,3,agree,,true"
-
-    def test_deterministic_output(self):
-        args = ["hstar", "--r", "2", "--k", "4", "--n", "4"]
-        assert run_cli(args).stdout == run_cli(args).stdout
-
-    def test_big_entries_serialize_as_strings(self):
-        result = run_cli(
-            ["hstar", "--r", "1", "--k", "12", "--n", "25", "--method", "formula"]
-        )
-        assert result.returncode == 0
-        (record,) = validate_lines(result.stdout)
-        big = [e for e in record["hstar"] if isinstance(e, str)]
-        assert big, "expected at least one decimal-string entry"
-        assert all(int(e) > 2**53 - 1 for e in big)
-
     def test_closed_pipe_exits_1_quietly(self):
         args = ["hstar", "--r", "1", "--k", "30", "--n", "60", "--method", "formula"]
         argv, env = console_command([*args, "--format", "csv"])
@@ -200,6 +140,7 @@ class TestHstarCommand:
         st.integers(-2, 20),
         st.integers(-1, 6),
     )
+    @example("formula", 1, 5, 5)
     def test_exit_code_property(self, capsys, method, r, k, n):
         capsys.readouterr()  # drop what earlier examples printed
         args = ["hstar", "--r", str(r), "--k", str(k), "--n", str(n), "--method", method]
@@ -217,14 +158,18 @@ class TestHstarCommand:
 
 class TestParserReuse:
     def test_consecutive_calls_match_fresh_processes(self, capsys):
+        # the golden records are replays in fresh processes; a refused
+        # request in the run must not change the ones after it
         requests = [
-            ["hstar", "--r", "2", "--k", "5", "--n", "6", "--format", "csv"],
-            ["enum", "--k", "2", "--n", "4", "--d", "1", "--hypersimplicial"],
-            ["verify", "--suite", "lemma1", "--max-n", "3", "--max-k", "2"],
+            "hstar --r 2 --k 5 --n 6 --method all --format csv",
+            "enum --k 2 --n 4 --d 1 --r 3",
+            "enum --k 2 --n 4 --d 1 --hypersimplicial",
+            "verify --suite eulerian --max-n 6",
         ]
-        for args in requests:
-            assert cli.main(args) == 0
-            assert capsys.readouterr().out == run_cli(args).stdout
+        for command in requests:
+            code = cli.main(command.split())
+            captured = capsys.readouterr()
+            assert render(command, code, captured.out, captured.err) == golden_records()[command]
 
     def test_bad_flag_still_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -254,74 +199,7 @@ class TestStartUp:
         assert (result.returncode, result.stderr) == (1 if err else 0, err)
 
 
-class TestEnumCommand:
-    def test_six_records(self):
-        result = run_cli(["enum", "--k", "2", "--n", "4", "--d", "1"])
-        assert result.returncode == 0
-        lines = result.stdout.splitlines()
-        assert len(lines) == 7
-        assert lines[0] == "({1,2,3}_1,{4}_1) w=(0,0,1,1)"
-        assert lines[-1] == "count=6"
-
-    def test_hypersimplicial_filter(self):
-        result = run_cli(
-            ["enum", "--k", "2", "--n", "4", "--d", "1", "--r", "1", "--hypersimplicial"]
-        )
-        lines = result.stdout.splitlines()
-        assert lines == [
-            "({1,2}_1,{3,4}_1) w=(0,1,0,1)",
-            "({1,4}_1,{2,3}_1) w=(1,0,1,0)",
-            "count=2",
-        ]
-
-    def test_single_block_at_winding_zero(self):
-        result = run_cli(["enum", "--k", "2", "--n", "4", "--d", "0"])
-        assert result.stdout.splitlines() == ["({1,2,3,4}_2) w=(0,0,0,0)", "count=1"]
-
-    def test_json_records_validate(self):
-        result = run_cli(["enum", "--k", "2", "--n", "4", "--d", "1", "--format", "json"])
-        records = validate_lines(result.stdout)
-        assert len(records) == 7
-        assert records[0] == {
-            "blocks": [[1, 2, 3], [4]],
-            "gaps": [1, 1],
-            "d": 1,
-            "winding_vector": [0, 0, 1, 1],
-        }
-        assert records[-1] == {"count": 6, "truncated": False}
-
-    def test_limit_truncates(self):
-        result = run_cli(
-            ["enum", "--k", "2", "--n", "4", "--d", "1", "--limit", "2", "--format", "json"]
-        )
-        records = validate_lines(result.stdout)
-        assert len(records) == 3
-        assert records[-1] == {"count": 2, "truncated": True}
-
-    def test_invalid_parameters_exit_1(self):
-        result = run_cli(["enum", "--k", "0", "--n", "4", "--d", "1"])
-        assert result.returncode == 1
-
-    def test_negative_limit_exits_1(self):
-        result = run_cli(["enum", "--k", "2", "--n", "4", "--d", "1", "--limit", "-1"])
-        assert result.returncode == 1
-        assert result.stdout == ""
-        assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
-        zero = run_cli(["enum", "--k", "2", "--n", "4", "--d", "1", "--limit", "0"])
-        assert zero.returncode == 0
-        assert zero.stdout == "count=0 truncated\n"
-
-    def test_deterministic_output(self):
-        args = ["enum", "--k", "3", "--n", "4", "--d", "1", "--format", "json"]
-        assert run_cli(args).stdout == run_cli(args).stdout
-
-
 class TestVerifyCommand:
-    def test_vacuous_sweep_fails(self):
-        result = run_cli(["verify", "--suite", "prop3", "--max-n", "1"])
-        assert result.returncode == 1
-        assert result.stdout == "FAIL prop3: 0 cases (bounds select no cases)\n"
-
     @pytest.mark.parametrize("flag", ["--max-n", "--max-k", "--max-r"])
     def test_negative_bound_is_a_one_line_error(self, flag, capsys):
         for suite in ("all", "eulerian"):

@@ -5,21 +5,28 @@ golden/cli_stdout.txt holds one record per command in CASES: a "$ " line
 with the arguments, the stdout lines, the stderr lines prefixed "stderr: ",
 and an "[exit N]" line.  Each record is replayed in a fresh process through
 console.run_cli, so setting HSTAR_LAB_SCRIPT replays the set against an
-installed console script (see console.py).  When an output change is
-intended, regenerate the file through the same runner with
+installed console script (see console.py).  Every JSON line of the set is
+checked against docs/cli-schema.json, and every `$ hstar-lab` example in
+README.md must be a record.  When an output change is intended, regenerate
+the file through the same runner with
 
     python tests/test_golden.py > tests/golden/cli_stdout.txt
 """
 
+import json
+import re
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from console import SRC, run_cli
 from hstar_lab.cli import _SUITES
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_stdout.txt"
+README = SRC.parent / "README.md"
+SCHEMA = json.loads((SRC.parent / "docs" / "cli-schema.json").read_text(encoding="utf-8"))
 
 CASES = [
     *(
@@ -27,10 +34,22 @@ CASES = [
         for r, k, n in ((1, 2, 4), (2, 5, 6), (3, 7, 5))
         for fmt in ("json", "csv")
     ),
+    "hstar --r 1 --k 2 --n 4 --method all",
     "hstar --r 1 --k 30 --n 60 --method formula",
+    "hstar --r 1 --k 1 --n 5 --method formula",
     "enum --k 4 --n 5 --d 2 --r 1 --hypersimplicial",
     "enum --k 4 --n 5 --d 2 --r 1 --hypersimplicial --format json",
     "enum --k 3 --n 4 --d 1 --limit 2",
+    "enum --k 2 --n 4 --d 1",
+    "enum --k 2 --n 4 --d 1 --format json",
+    "enum --k 2 --n 4 --d 1 --r 1 --hypersimplicial",
+    "enum --k 2 --n 4 --d 1 --hypersimplicial",
+    "enum --k 2 --n 4 --d 1 --r 3",
+    "enum --k 2 --n 4 --d 0",
+    "enum --k 2 --n 4 --d 1 --limit 2 --format json",
+    "enum --k 2 --n 4 --d 1 --limit 0",
+    "enum --k 2 --n 4 --d 1 --limit -1",
+    "enum --k 0 --n 4 --d 1",
     "verify --suite prop5 --max-n 4 --max-k 3 --max-r 1",
     "verify --suite eq6 --max-n 4 --max-k 3 --max-r 3",
     "verify --suite eulerian --max-n 6",
@@ -38,6 +57,7 @@ CASES = [
     "verify --suite all",
     "verify --suite prop4 --max-n 6 --max-k 5",
     "verify --suite prop2 --max-n 7 --max-k 5",
+    "verify --suite prop3 --max-n 1",
     "hstar --r 0 --k 1 --n 3",
 ]
 
@@ -80,6 +100,41 @@ def test_fixture_covers_every_case():
 @pytest.mark.parametrize("command", CASES)
 def test_output_matches_golden(command):
     assert replay(command) == golden_records()[command]
+
+
+def test_every_json_line_matches_the_schema():
+    # stderr lines carry a prefix and the other stdout lines are text or csv
+    lines = [
+        line
+        for record in golden_records().values()
+        for line in record.splitlines()
+        if line.startswith("{")
+    ]
+    assert lines
+    for line in lines:
+        jsonschema.validate(json.loads(line), SCHEMA)
+
+
+def readme_examples() -> dict[str, str]:
+    """Command -> the stdout README.md shows for it, from each ```sh block
+    that opens with a `$ hstar-lab ` line."""
+    examples = {}
+    text = README.read_text(encoding="utf-8")
+    for block in re.findall(r"^```sh\n(.*?)^```$", text, re.M | re.S):
+        first, _, out = block.partition("\n")
+        if first.startswith("$ hstar-lab "):
+            examples[first.removeprefix("$ hstar-lab ")] = out
+    return examples
+
+
+def test_readme_examples_are_records():
+    # an example shows only stdout, so its record exits 0 with nothing on stderr
+    examples = readme_examples()
+    assert examples
+    records = golden_records()
+    assert {c: records.get(c) for c in examples} == {
+        c: render(c, 0, out, "") for c, out in examples.items()
+    }
 
 
 @pytest.mark.parametrize("index, suite", enumerate(_SUITES))
