@@ -39,18 +39,18 @@ __all__ = [
 class Dosp(_Frozen):
     """Ordered blocks partitioning {1..n} with positive gap labels summing to k.
 
-    Dosp(...) checks its input item by item and names the first fault.
-    Blocks and gaps may be given in any rotation; the canonical one, with the
-    block containing 1 first, is stored, so one partition is one value.  Only
-    _dosp_from_spot_masks, whose partitions are valid by construction, stores
-    the fields without these checks.
+    Dosp(...) reads each block once, checks its input item by item and names
+    the first fault.  Blocks and gaps may be given in any rotation; the
+    canonical one, with the block containing 1 first, is stored, so one
+    partition is one value.  Only _dosp_from_spot_masks, whose partitions are
+    valid by construction, stores the fields without these checks.
     """
 
     __slots__ = ("blocks", "gaps", "k", "n")
 
     def __init__(self, blocks: Iterable[Iterable[int]], gaps: Iterable[int], k: int, n: int):
         _require_ints(k=k, n=n)
-        blocks, gaps = tuple(blocks), tuple(gaps)
+        blocks, gaps = tuple(map(tuple, blocks)), tuple(gaps)
         if not blocks:
             raise ValueError("at least one block is required")
         if len(blocks) != len(gaps):
@@ -126,16 +126,12 @@ def parse_dosp(text: str, k: int, n: int) -> Dosp:
     compact = "".join(text.split())
     if not _DOSP_RE.fullmatch(compact):
         raise ValueError(f"malformed decorated ordered set partition text: {text!r}")
-    blocks: list[frozenset[int]] = []
+    blocks: list[list[int]] = []
     gaps: list[int] = []
     for body, gap in _BLOCK_RE.findall(compact):
-        elems = [int(e) for e in body.split(",")]
-        if len(set(elems)) != len(elems):
-            dup = next(e for e in elems if elems.count(e) > 1)
-            raise ValueError(f"duplicate element {dup}")
-        blocks.append(frozenset(elems))
+        blocks.append([int(e) for e in body.split(",")])
         gaps.append(int(gap))
-    return Dosp(tuple(blocks), tuple(gaps), k, n)
+    return Dosp(blocks, gaps, k, n)
 
 
 def winding_vector(partition: Dosp) -> tuple[int, ...]:

@@ -27,6 +27,15 @@ if peak > float(sys.argv[1]):
 sys.exit(code)
 """
 
+# exits 1, naming them, when importing the console and building its parser
+# loads dataclasses or inspect, which with ast, dis and tokenize made up about
+# a quarter of that start-up; test_cli.py runs it on this checkout and CI
+# with the built package
+START_UP_CHECK = (
+    "import sys, hstar_lab.cli; hstar_lab.cli.build_parser(); "
+    "sys.exit(sorted({'dataclasses', 'inspect'} & set(sys.modules)) or None)"
+)
+
 
 def console_command(args: list[str]) -> tuple[list[str], dict[str, str]]:
     """The argv and the environment that run the console on args."""

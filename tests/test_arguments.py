@@ -230,8 +230,9 @@ def test_eulerian_refuses_non_integers_with_the_template_message(function, name,
 
 @pytest.mark.parametrize("function", [eulerian, eulerian_by_enumeration])
 def test_eulerian_range_keeps_its_message(function):
-    with pytest.raises(ValueError, match=r"^eulerian\(k=0, n=3\) requires 1 <= k <= n$"):
-        function(0, 3)
+    for k, n in [(0, 3), (4, 3), (-1, 5)]:
+        with pytest.raises(ValueError, match=rf"^eulerian\(k={k}, n={n}\) requires 1 <= k <= n$"):
+            function(k, n)
 
 
 @pytest.mark.parametrize("name", TAKES_GROUND)

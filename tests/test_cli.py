@@ -9,7 +9,7 @@ from itertools import count
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from console import SRC, console_command
+from console import SRC, START_UP_CHECK, console_command
 from hstar_lab import cli, sieve
 from hstar_lab.coeffcore import _power_row
 from hstar_lab.sieve import _family_with_bad_blocks, dosp_family
@@ -180,15 +180,6 @@ class TestParserReuse:
         assert json.loads(capsys.readouterr().out)["hstar"] == [1, 2, 1, 0]
 
 
-# exits 1, naming them, when importing the console and building its parser
-# loads dataclasses or inspect, which with ast, dis and tokenize made up about
-# a quarter of that start-up; CI runs the same line with the built package
-START_UP_CHECK = (
-    "import sys, hstar_lab.cli; hstar_lab.cli.build_parser(); "
-    "sys.exit(sorted({'dataclasses', 'inspect'} & set(sys.modules)) or None)"
-)
-
-
 class TestStartUp:
     # the second row shows that the check fails when a start-up loads inspect
     @pytest.mark.parametrize("prelude, err", [("", ""), ("import inspect; ", "['inspect']\n")])
@@ -235,22 +226,13 @@ class TestVerifyCommand:
             alone += capsys.readouterr().out
         assert together == alone and together.count("PASS ") == len(cli._SUITES)
 
-    def test_default_case_counts(self, capsys):
+    def test_default_bounds_fit_the_caches(self):
+        # the case counts are the golden `verify --suite all` record's; the
+        # default bounds fit the size-bounded caches: nothing is evicted
         cached = {dosp_family: 120, _family_with_bad_blocks: 240, _power_row: 81}
         for fn in cached:
             fn.cache_clear()
         assert cli.main(["verify", "--suite", "all"]) == 0
-        assert capsys.readouterr().out.splitlines() == [
-            "PASS lemma1: 864 cases",
-            "PASS prop1: 156 cases",
-            "PASS prop2: 60 cases",
-            "PASS prop3: 106 cases",
-            "PASS prop4: 818 cases",
-            "PASS prop5: 2100 cases",
-            "PASS eq6: 3108 cases",
-            "PASS eulerian: 64 cases",
-        ]
-        # the default bounds fit the size-bounded caches: nothing is evicted
         for fn, entries in cached.items():
             info = fn.cache_info()
             assert info.misses == info.currsize == entries, fn.__name__

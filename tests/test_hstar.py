@@ -20,17 +20,8 @@ from reciprocity import reciprocity_faults
 
 
 class TestClosedForm:
-    def test_delta24_entry(self):
-        # i = 0 gives 6, i = 1 subtracts 4
-        vec = hstar_closed_form(PolytopeSpec(1, 2, 4))
-        assert vec.entries[1] == 2
-
     def test_delta24_vector(self):
         assert hstar_closed_form(PolytopeSpec(1, 2, 4)).entries == (1, 2, 1, 0)
-
-    def test_leading_entry_is_one(self):
-        for r, k, n in [(1, 2, 4), (2, 5, 3), (3, 7, 4), (1, 4, 9)]:
-            assert hstar_closed_form(PolytopeSpec(r, k, n)).entries[0] == 1
 
     def test_unit_simplex(self):
         for n in range(2, 8):
@@ -119,15 +110,6 @@ _specs = st.integers(1, 3).flatmap(
 
 
 class TestIndependentChecks:
-    def test_oracle_volume_and_reflection_sweep(self):
-        for r in (1, 2, 3):
-            for n in range(2, 14):
-                for k in range(1, r * n):
-                    entries = hstar_closed_form(PolytopeSpec(r, k, n)).entries
-                    assert entries == hstar_from_oracle(PolytopeSpec(r, k, n)).entries
-                    assert sum(entries) == _volume(r, k, n), (r, k, n)
-                    assert entries == hstar_closed_form(PolytopeSpec(r, r * n - k, n)).entries
-
     def test_nan_li_recurrence_at_r_1(self):
         for n in range(2, 9):
             for k in range(1, n):
@@ -146,11 +128,13 @@ class TestIndependentChecks:
 
 
 class TestReciprocity:
-    """Both routes against the interior points of the dilates (reciprocity.py)."""
+    """Both routes against the interior points of the dilates (reciprocity.py).
+    These fix every entry, so a pass is also the two routes' agreement, the
+    volume and the reflection k -> rn - k."""
 
     @pytest.mark.parametrize("r", [1, 2, 3])
-    def test_every_spec_up_to_n_12(self, r):
-        for n in range(2, 13):
+    def test_every_spec_up_to_n_13(self, r):
+        for n in range(2, 14):
             for k in range(1, r * n):
                 for method in (hstar_closed_form, hstar_from_oracle):
                     entries = method(PolytopeSpec(r, k, n)).entries
@@ -197,6 +181,19 @@ class TestRawNumerator:
                     spec = PolytopeSpec(r, k, n)
                     assert raw_series_numerator(spec) == hstar_closed_form(spec).entries, spec
 
+    def test_surviving_high_coefficient_raises(self, monkeypatch):
+        original = hstar._shifted_series
+
+        def one_more_on_top(*args):
+            series = original(*args)
+            series[-1] += 1
+            return series
+
+        monkeypatch.setattr(hstar, "_shifted_series", one_more_on_top)
+        message = "^series numerator has a nonzero coefficient at degree 4; degrees n and above"
+        with pytest.raises(AssertionError, match=message):
+            raw_series_numerator(PolytopeSpec(1, 2, 4))
+
 
 class TestLemma1:
     def test_binomial_instance(self):
@@ -222,7 +219,7 @@ class TestProp1:
             for s in range(0, 6)
             for a in range(1, 5)
             for n in range(s, 9)
-            for max_degree in range(0, 11)
+            for max_degree in range(0, 10)  # max_degree 10 is the prop1 suite
         )
 
     def test_fails_beyond_domain(self):

@@ -1,5 +1,8 @@
 import math
 
+import pytest
+
+from hstar_lab import oracle
 from hstar_lab.coeffcore import eulerian
 from hstar_lab.hstar import hstar_closed_form
 from hstar_lab.oracle import hstar_from_oracle, lattice_count, lattice_count_direct
@@ -34,6 +37,13 @@ class TestLatticeCount:
                     counts = [lattice_count(spec, t) for t in range(1, 7)]
                     assert all(a < b for a, b in zip(counts, counts[1:]))
 
+    def test_direct_cross_check_catches_a_mismatch(self, monkeypatch):
+        direct = oracle.lattice_count_direct
+        monkeypatch.setattr(oracle, "lattice_count_direct", lambda spec, t: direct(spec, t) + 1)
+        message = "^lattice count mismatch at t=1: inclusion-exclusion 6, enumeration 7$"
+        with pytest.raises(AssertionError, match=message):
+            lattice_count(PolytopeSpec(1, 2, 4), 1)
+
 
 class TestHStarFromOracle:
     def test_delta24(self):
@@ -46,7 +56,7 @@ class TestHStarFromOracle:
             assert lattice_count(spec, t) == math.comb(t + 2, 2)
 
     def test_matches_closed_form(self):
-        # r <= 3 is in the oracle sweep of test_hstar.py
+        # r <= 3 is in the reciprocity sweep of test_hstar.py
         for n in range(2, 11):
             for k in range(1, 7):
                 spec = PolytopeSpec(4, k, n)

@@ -406,10 +406,7 @@ class TestFamilyCaches:
         _clear_family_caches()
 
     def test_family_takes_keyword_arguments(self):
-        by_keyword = dosp_family(k=4, n=5, d=2)
-        assert by_keyword == dosp_family(4, 5, 2)
-        with pytest.raises(TypeError, match="^k must be an integer$"):
-            dosp_family(k=True, n=5, d=2)
+        assert dosp_family(k=4, n=5, d=2) == dosp_family(4, 5, 2)
 
     def test_cached_functions_keep_their_names(self):
         # benchmark spans are named from __module__ and __name__
@@ -622,39 +619,23 @@ class TestSpread:
 
     def test_injective_with_run_marked_image(self):
         # exhaustive: the embedding is injective, preserves the winding
-        # number, and lands exactly on the members carrying the runs
-        k, n, r = 5, 5, 1
-        for d in range(n):
-            for ground_tuple in combinations(range(1, n), 3):
-                ground = frozenset(ground_tuple)
-                for parts in unordered_partitions(ground):
-                    family = dosps_with_bad_parts(k, n, d, r, parts)
-                    image = [spread_bad_parts(p, r, parts) for p in family]
-                    assert len(set(image)) == len(family)
-                    for source, target in zip(family, image):
-                        assert winding_number(target) == winding_number(source) == d
-                    members = set(dosps_with_bad_parts(k, n, d, r, singles(ground)))
-                    expected = {
-                        p for p in members if _reference_chi_by_runs(p, r, ground, parts)
-                    }
-                    assert set(image) == expected
+        # number, and its image is exactly the members carrying the runs
+        for k, n, r in [(4, 5, 1), (4, 4, 2), (5, 4, 1), (5, 5, 1)]:
+            for d in range(n):
+                for m in (1, 2, 3):
+                    for ground in map(frozenset, combinations(range(1, n), m)):
+                        base = dosps_with_bad_parts(k, n, d, r, singles(ground))
+                        for parts in unordered_partitions(ground):
+                            family = dosps_with_bad_parts(k, n, d, r, parts)
+                            image = [spread_bad_parts(p, r, parts) for p in family]
+                            assert len(set(image)) == len(family)
+                            for source, target in zip(family, image):
+                                assert winding_number(target) == winding_number(source) == d
+                            chi = [p for p in base if _reference_chi_by_runs(p, r, ground, parts)]
+                            assert spread_image(k, n, d, r, parts) == set(chi)
 
 
 class TestChiEquivalence:
-    def test_image_membership_matches_run_criterion(self):
-        for k, n, r in [(4, 5, 1), (4, 4, 2), (5, 4, 1)]:
-            for d in range(n):
-                for m in (1, 2, 3):
-                    for ground_tuple in combinations(range(1, n), m):
-                        ground = frozenset(ground_tuple)
-                        base = dosps_with_bad_parts(k, n, d, r, singles(ground))
-                        for parts in unordered_partitions(ground):
-                            image = spread_image(k, n, d, r, parts)
-                            for p in base:
-                                assert (p in image) == _reference_chi_by_runs(
-                                    p, r, ground, parts
-                                )
-
     def test_interval_condition_matters(self):
         # {1,3} refines the run {1,2,3} setwise but is not an interval of it
         p = parse_dosp("({1}_1,{2}_1,{3}_1,{4,5}_1)", 4, 5)
@@ -756,36 +737,11 @@ class TestSecondWindingVector:
         with pytest.raises(ValueError, match="must not contain 3"):
             dosp_from_second_winding_vector((1, 1, 1), 4, 1, frozenset({3}))
 
-    @pytest.mark.parametrize(
-        "v,k,r",
-        [
-            ((1.0, 1, 1), 4, 1),
-            ((True, 1, 1), 4, 1),
-            ((1, 1, 1), 4.0, 1),
-            ((1, 1, 1), 4, 1.0),
-            ((1, 2, 0), 4, True),
-        ],
-    )
-    def test_rejects_non_integer_input(self, v, k, r):
-        # k and r are arguments, with the one message of every integer argument
-        if type(k) is not int:
-            message = "^k must be an integer$"
-        elif type(r) is not int:
-            message = "^r must be an integer$"
-        else:
-            message = "^second winding entries must be integers$"
-        with pytest.raises(TypeError, match=message):
-            dosp_from_second_winding_vector(v, k, r, {1})
-
-    def test_rejects_bool_k(self):
-        # with no marked element the blue count True - 0 is the int 1
-        with pytest.raises(TypeError, match="^k must be an integer$"):
-            dosp_from_second_winding_vector((0,), True, 1, ())
-
-    def test_rejects_non_integer_r_before_the_walk(self):
-        p = parse_dosp("({1}_2,{2,3}_1,{4}_1)", 4, 4)
-        with pytest.raises(TypeError, match="^r must be an integer$"):
-            second_winding_vector(p, 1.0, {1})
+    @pytest.mark.parametrize("v", [(1.0, 1, 1), (True, 1, 1)])
+    def test_rejects_non_integer_input(self, v):
+        # non-integer k and r are rows of test_arguments.py
+        with pytest.raises(TypeError, match="^second winding entries must be integers$"):
+            dosp_from_second_winding_vector(v, 4, 1, {1})
 
     def test_any_sequence_and_ground_build_one_value(self):
         canonical = dosp_from_second_winding_vector((1, 1, 1), 4, 1, frozenset({1}))
@@ -817,9 +773,12 @@ class TestSecondWindingReconstruction:
         with pytest.raises(ValueError):
             dosp_from_second_winding_vector((1, 1, 0), 4, 1, {1})
 
-    def test_stream_rejects_non_integer_k(self):
-        with pytest.raises(TypeError, match="^k must be an integer$"):
-            list(enumerate_second_winding_vectors(4.0, 3, 1, 1, {1}))
+    def test_overlong_walk_fails_the_fill_check(self, monkeypatch):
+        # a walk one blue spot too long expands past the k spots of the circle
+        walk = sieve._walk
+        monkeypatch.setattr(sieve, "_walk", lambda v, size: [*walk(v, size), 0])
+        with pytest.raises(AssertionError, match="^spot expansion must fill the whole circle$"):
+            dosp_from_second_winding_vector((1, 1, 1), 4, 1, {1})
 
     @pytest.mark.parametrize("r, m", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_rebuilt_storage_is_checked_storage(self, r, m):
