@@ -11,6 +11,7 @@ from hstar_lab.coeffcore import (
     _ROW_CACHE_BYTES,
     _power_row,
     eulerian,
+    eulerian_by_enumeration,
     restricted_coeff,
 )
 
@@ -175,6 +176,11 @@ class TestEulerian:
         for n in range(1, 9):
             assert sum(eulerian(k, n) for k in range(1, n + 1)) == math.factorial(n)
 
+    def test_matches_bruteforce(self):
+        for n in range(1, 8):
+            for k in range(1, n + 1):
+                assert eulerian(k, n) == eulerian_by_enumeration(k, n)
+
     def test_cold_value_at_large_n(self):
         # one value from the explicit sum, with no table of earlier rows:
         # A(n, 1) = 2**n - n - 1
@@ -189,3 +195,10 @@ class TestEulerian:
             assert [eulerian(k, n) for k in range(1, n + 1)] == row, n
             padded = [0, *row, 0]
             row = [(m + 1) * padded[m + 1] + (n + 1 - m) * padded[m] for m in range(n + 1)]
+
+    @pytest.mark.parametrize("k,n", [(0, 3), (4, 3), (-1, 5)])
+    def test_domain_errors(self, k, n):
+        with pytest.raises(ValueError):
+            eulerian(k, n)
+        with pytest.raises(ValueError):
+            eulerian_by_enumeration(k, n)

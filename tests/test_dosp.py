@@ -158,6 +158,12 @@ class TestPolytopeSpec:
         with pytest.raises(ValueError):
             PolytopeSpec(r, k, n)
 
+    @pytest.mark.parametrize("r,k,n", [(1, 2.0, 4), (1.0, 2, 4), (1, 2, 4.0)])
+    def test_rejects_non_integer_fields(self, r, k, n):
+        name = next(name for name, v in zip("rkn", (r, k, n)) if type(v) is not int)
+        with pytest.raises(TypeError, match=f"^{name} must be an integer$"):
+            PolytopeSpec(r, k, n)
+
 
 class TestParse:
     def test_example_partition(self):

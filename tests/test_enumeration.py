@@ -59,6 +59,14 @@ class TestStream:
             assert ws == sorted(ws)
             assert len(set(ws)) == len(ws)
 
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(ValueError):
+            list(enumerate_winding_vectors(0, 3, 1))
+        with pytest.raises(ValueError):
+            list(enumerate_winding_vectors(2, 0, 1))
+        with pytest.raises(ValueError):
+            list(enumerate_winding_vectors(2, 3, -1))
+
     def test_bounded_vectors_degenerate(self):
         assert list(bounded_vectors(0, 3, 0)) == [()]
         assert list(bounded_vectors(0, 3, 1)) == []
@@ -71,11 +79,17 @@ class TestStream:
                         _recursive_bounded_vectors(length, bound, total)
                     )
 
-    def test_bounded_vectors_reject_non_integer_total(self):
-        # length and bound are rows of test_arguments.py; total, which may
-        # lie out of range, is only type-checked
-        with pytest.raises(TypeError, match="^total must be an integer$"):
-            list(bounded_vectors(3, 2, 4.0))
+    @pytest.mark.parametrize("length,bound,total", [(3, 2.0, 4), (3.0, 2, 4), (3, 2, 4.0)])
+    def test_bounded_vectors_reject_non_integer_sizes(self, length, bound, total):
+        names = ("length", "bound", "total")
+        name = next(n for n, v in zip(names, (length, bound, total)) if type(v) is not int)
+        with pytest.raises(TypeError, match=f"^{name} must be an integer$"):
+            list(bounded_vectors(length, bound, total))
+
+    def test_bounded_vectors_reject_negative_sizes(self):
+        for length, bound, name in [(-1, 2, "length"), (2, -1, "bound")]:
+            with pytest.raises(ValueError, match=f"^{name} must be at least 0$"):
+                list(bounded_vectors(length, bound, 0))
 
 
 class TestCounts:

@@ -20,8 +20,17 @@ from reciprocity import reciprocity_faults
 
 
 class TestClosedForm:
+    def test_delta24_entry(self):
+        # i = 0 gives 6, i = 1 subtracts 4
+        vec = hstar_closed_form(PolytopeSpec(1, 2, 4))
+        assert vec.entries[1] == 2
+
     def test_delta24_vector(self):
         assert hstar_closed_form(PolytopeSpec(1, 2, 4)).entries == (1, 2, 1, 0)
+
+    def test_leading_entry_is_one(self):
+        for r, k, n in [(1, 2, 4), (2, 5, 3), (3, 7, 4), (1, 4, 9)]:
+            assert hstar_closed_form(PolytopeSpec(r, k, n)).entries[0] == 1
 
     def test_unit_simplex(self):
         for n in range(2, 8):

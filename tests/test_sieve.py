@@ -743,6 +743,16 @@ class TestSecondWindingVector:
         with pytest.raises(TypeError, match="^second winding entries must be integers$"):
             dosp_from_second_winding_vector(v, 4, 1, {1})
 
+    def test_rejects_bool_k(self):
+        # with no marked element the blue count True - 0 is the int 1
+        with pytest.raises(TypeError, match="^k must be an integer$"):
+            dosp_from_second_winding_vector((0,), True, 1, ())
+
+    def test_rejects_non_integer_r_before_the_walk(self):
+        p = parse_dosp("({1}_2,{2,3}_1,{4}_1)", 4, 4)
+        with pytest.raises(TypeError, match="^r must be an integer$"):
+            second_winding_vector(p, 1.0, {1})
+
     def test_any_sequence_and_ground_build_one_value(self):
         canonical = dosp_from_second_winding_vector((1, 1, 1), 4, 1, frozenset({1}))
         for v, ground in [([1, 1, 1], {1}), ((1, 1, 1), [1]), (iter((1, 1, 1)), (1,))]:
@@ -772,6 +782,10 @@ class TestSecondWindingReconstruction:
         # sum not a multiple of the blue count
         with pytest.raises(ValueError):
             dosp_from_second_winding_vector((1, 1, 0), 4, 1, {1})
+
+    def test_stream_rejects_non_integer_k(self):
+        with pytest.raises(TypeError, match="^k must be an integer$"):
+            list(enumerate_second_winding_vectors(4.0, 3, 1, 1, {1}))
 
     def test_overlong_walk_fails_the_fill_check(self, monkeypatch):
         # a walk one blue spot too long expands past the k spots of the circle
