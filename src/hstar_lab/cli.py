@@ -321,6 +321,9 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
+    except KeyboardInterrupt:  # Ctrl-C: one line and the shell's code for SIGINT
+        print("error: interrupted", file=sys.stderr)
+        return 130
     return code
 
 

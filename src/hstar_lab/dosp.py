@@ -19,6 +19,7 @@ from __future__ import annotations
 import operator
 import re
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable
 
 from .spec import _Frozen, _require_ints
@@ -190,6 +191,12 @@ def _block_of_mask(mask: int) -> frozenset[int]:
     return frozenset(e for e in range(1, mask.bit_length() + 1) if mask >> (e - 1) & 1)
 
 
+@lru_cache(maxsize=16)
+def _small_entries(k: int) -> frozenset[int]:
+    """Entries 0..k-1 of a winding vector, up to 255, for one superset test."""
+    return frozenset(range(min(k, 256)))
+
+
 def dosp_from_winding_vector(w: Iterable[int], k: int) -> Dosp:
     """The unique partition of type (k, len(w)), returned canonical, whose
     winding vector is w.
@@ -204,7 +211,11 @@ def dosp_from_winding_vector(w: Iterable[int], k: int) -> Dosp:
     n = len(w)
     if n == 0:
         raise ValueError("winding vector must be nonempty")
-    if min(w) < 0 or max(w) > k - 1:
+    try:  # one superset test passes entries that are small ints
+        small = _small_entries(k).issuperset(w)
+    except TypeError:  # an unhashable entry: min and max name the fault
+        small = False
+    if not small and (min(w) < 0 or max(w) > k - 1):
         bad = next(wi for wi in w if not 0 <= wi <= k - 1)
         raise ValueError(f"winding entry {bad} outside 0..{k - 1}")
     total = sum(w)
@@ -225,9 +236,9 @@ def _walk(steps: Iterable[int], size: int) -> list[int]:
     q = 0
     bit = 1
     for step in steps:
-        masks[q] |= bit
+        masks[q] += bit  # each bit once, so + is |, and int + runs specialized
         q = (q + step) % size
-        bit <<= 1
+        bit += bit
     return masks
 
 
@@ -236,18 +247,21 @@ def _dosp_from_spot_masks(masks: list[int], k: int, n: int) -> Dosp:
     of the list masks, indexed by spot as _walk returns it, holding the
     elements set in that mask.  Element 1 must sit on spot 0, so the blocks
     come in the canonical rotation; the partition is valid by construction
-    and its fields are stored without Dosp's checks.  Blocks come from
-    _block_of_mask and gaps from _gaps_between, so equal blocks and equal
-    gap tuples are shared between the partitions built here."""
+    and its fields are stored by the slot setters, without Dosp's checks.
+    Blocks come from _block_of_mask and gaps from _gaps_between, so equal
+    ones are shared between the partitions built here.  No loop runs per spot."""
     if not masks[0] & 1:
         raise AssertionError("element 1 must sit on spot 0")
-    occupied = tuple([q for q in range(k) if masks[q]])
     partition = object.__new__(Dosp)
-    object.__setattr__(partition, "blocks", tuple([_block_of_mask(masks[q]) for q in occupied]))
-    object.__setattr__(partition, "gaps", _gaps_between(occupied, k))
-    object.__setattr__(partition, "k", k)
-    object.__setattr__(partition, "n", n)
+    _set_blocks(partition, tuple(map(_block_of_mask, filter(None, masks))))
+    _set_gaps(partition, _gaps_between(tuple(compress(range(k), masks)), k))
+    _set_k(partition, k)
+    _set_n(partition, n)
     return partition
+
+
+# Dosp's slot setters, bound once: cheaper than object.__setattr__ by name
+_set_blocks, _set_gaps, _set_k, _set_n = (Dosp.__dict__[name].__set__ for name in Dosp.__slots__)
 
 
 def cyclic_shift_elements(partition: Dosp, s: int) -> Dosp:

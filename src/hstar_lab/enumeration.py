@@ -9,6 +9,7 @@ builds and filters one partition per streamed vector.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterator
 
 from .dosp import Dosp, dosp_from_winding_vector, is_r_hypersimplicial
@@ -79,11 +80,9 @@ def count_r_hypersimplicial(k: int, n: int, r: int, d: int) -> int:
     number d, by streaming winding vectors, converting each to a partition,
     and filtering."""
     _require_ints(r=r)
-    count = 0
-    for w in enumerate_winding_vectors(k, n, d):
-        if is_r_hypersimplicial(dosp_from_winding_vector(w, k), r):
-            count += 1
-    return count
+    # one build and one filter per vector, no Python loop; names read per count
+    partitions = map(dosp_from_winding_vector, enumerate_winding_vectors(k, n, d), repeat(k))
+    return sum(map(is_r_hypersimplicial, partitions, repeat(r)))
 
 
 def hstar_combinatorial(spec: PolytopeSpec) -> HStarVector:

@@ -381,7 +381,7 @@ def dosp_from_second_winding_vector(
     on_blue = _walk(v, blue)
     # each blue spot expands to one spot, holding its unmarked elements if
     # any, followed by r spots per marked element, largest first
-    marked = sum(1 << (t - 1) for t in ground)
+    marked = sum(map((1).__lshift__, ground)) >> 1  # bit t-1 for each marked t
     unmarked = ~marked
     pad = [0] * (r - 1)
     masks = []

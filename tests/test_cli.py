@@ -2,8 +2,10 @@ import importlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from itertools import count
 
 import pytest
@@ -116,6 +118,20 @@ class TestHstarCommand:
             proc.kill()
             proc.stderr.close()
         assert stderr == ""
+
+    def test_interrupt_exits_130_quietly(self):
+        # about 7**11 winding vectors: the run is still counting when Ctrl-C comes
+        argv, env = console_command(["hstar", "--r", "1", "--k", "7", "--n", "12", "--method", "enum"])
+        proc = subprocess.Popen(
+            argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        )
+        try:
+            time.sleep(1)
+            proc.send_signal(signal.SIGINT)
+            stdout, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert (proc.returncode, stdout, stderr) == (130, "", "error: interrupted\n")
 
     def test_disagreement_exits_2(self, monkeypatch, capsys):
         def wrong(spec):

@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, assume, strategies as st
+from hypothesis import given, assume, settings, strategies as st
 
 from hstar_lab import dosp
 from hstar_lab.dosp import (
@@ -36,6 +36,16 @@ def winding_inputs(draw):
     w = tuple(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
     assume(sum(w) % k == 0)
     return w, k
+
+
+@st.composite
+def large_winding_inputs(draw):
+    """A winding vector past the exhaustive grids, k <= 12 and n <= 30: a
+    drawn prefix and the last entry that makes the sum a multiple of k."""
+    k = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 30))
+    prefix = draw(st.lists(st.integers(0, k - 1), min_size=n - 1, max_size=n - 1))
+    return (*prefix, -sum(prefix) % k), k
 
 
 def _reference_dosp_from_winding_vector(w, k):
@@ -313,6 +323,20 @@ class TestFromWindingVector:
         w, k = wk
         p = dosp_from_winding_vector(w, k)
         assert winding_vector(p) == w
+
+    @settings(max_examples=150, deadline=None)
+    @given(large_winding_inputs(), st.integers(0, 29))
+    def test_prop2_past_the_exhaustive_bounds(self, wk, s):
+        # blocks of up to 30 elements, past the n <= 13 of the exhaustive
+        # grids; the block cache's eviction is TestBlockInterning's
+        w, k = wk
+        p = dosp_from_winding_vector(w, k)
+        assert winding_vector(p) == w
+        assert winding_number(p) == sum(w) // k
+        checked = Dosp(p.blocks, p.gaps, k, len(w))
+        assert (p.blocks, p.gaps, p.k, p.n) == (checked.blocks, checked.gaps, checked.k, checked.n)
+        assert p == checked and hash(p) == hash(checked)
+        assert winding_number(cyclic_shift_elements(p, s % p.n)) == sum(w) // k
 
 
 class TestFromWindingVectorReference:

@@ -6,6 +6,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hstar_lab import sieve
 from hstar_lab.cli import _SUITES, main
@@ -809,6 +810,46 @@ class TestSecondWindingReconstruction:
                             assert (rebuilt.blocks, rebuilt.gaps) == (checked.blocks, checked.gaps)
                             assert type(rebuilt.gaps) is tuple
                             assert all(type(b) is frozenset for b in rebuilt.blocks)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_prop5_forward_past_the_exhaustive_bounds(self, data):
+        # a vector in the second-winding bounds at n <= 16, up to 6 marked
+        # elements and at most 8 blue spots: a marked entry is one more than
+        # an unmarked one, and the last entry makes the sum a multiple of the
+        # blue count
+        r = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(2, 16))
+        ground = data.draw(st.frozensets(st.integers(1, n - 1), max_size=min(6, n - 1)))
+        blue = data.draw(st.integers(1, 8))
+        shifted = data.draw(st.lists(st.integers(0, blue - 1), min_size=n - 1, max_size=n - 1))
+        prefix = [x + (i in ground) for i, x in enumerate(shifted, start=1)]
+        v = (*prefix, -sum(prefix) % blue)
+        k = blue + r * len(ground)
+        p = dosp_from_second_winding_vector(v, k, r, ground)
+        assert second_winding_vector(p, r, ground) == v
+        assert winding_number(p) == sum(v) // blue
+        # run-free: each marked element an r-bad singleton, no marked packed pair
+        assert {frozenset((t,)) for t in ground} <= r_bad_blocks(p, r)
+        assert not [pair for pair in _packed_pairs(p, r) if set(pair) <= ground]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_prop5_backward_past_the_exhaustive_bounds(self, data):
+        # a partition at n <= 16 with up to 6 of its r-bad singletons marked,
+        # then one element of each marked packed pair unmarked
+        r = data.draw(st.integers(1, 3))
+        k = data.draw(st.integers(1, 12))
+        n = data.draw(st.integers(2, 16))
+        prefix = data.draw(st.lists(st.integers(0, k - 1), min_size=n - 1, max_size=n - 1))
+        p = dosp_from_winding_vector((*prefix, -sum(prefix) % k), k)
+        singles = sorted(min(b) for b in r_bad_blocks(p, r) if len(b) == 1 and n not in b)
+        ground = set(data.draw(st.lists(st.sampled_from(singles), max_size=6)) if singles else ())
+        for e, f in _packed_pairs(p, r):
+            if e in ground and f in ground:
+                ground.discard(data.draw(st.sampled_from((e, f))))
+        v = second_winding_vector(p, r, ground)
+        assert dosp_from_second_winding_vector(v, k, r, ground) == p
 
 
 def _reference_second_winding_vector(partition, r, ground):
