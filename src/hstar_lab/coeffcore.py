@@ -23,6 +23,7 @@ evicted once the total passes _ROW_CACHE_BYTES.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import chain, permutations
 
 from .spec import _lru_by_size, _require_ints
@@ -121,13 +122,18 @@ def eulerian(k: int, n: int) -> int:
 
 def eulerian_by_enumeration(k: int, n: int) -> int:
     """Brute-force descent count over all n! permutations; test oracle for
-    eulerian, usable up to n about 8."""
+    eulerian, usable up to n about 8.  The permutations of each n are walked
+    once, for every k."""
     _require_ints({}, k=k, n=n)
     if k < 1 or k > n:
         raise ValueError(f"eulerian(k={k}, n={n}) requires 1 <= k <= n")
-    target = k - 1
-    count = 0
+    return _descent_counts(n)[k - 1]
+
+
+@lru_cache(maxsize=8)
+def _descent_counts(n: int) -> tuple[int, ...]:
+    """Entry m counts the permutations of range(n), n >= 1, with m descents."""
+    counts = [0] * n
     for p in permutations(range(n)):
-        if sum(p[i] > p[i + 1] for i in range(n - 1)) == target:
-            count += 1
-    return count
+        counts[sum(p[i] > p[i + 1] for i in range(n - 1))] += 1
+    return tuple(counts)

@@ -24,7 +24,8 @@ and check_prop4 verify the two collapsing steps of the sieve, and
 sieve_term_closed_form is the resulting closed form, checked by the eq6 sweep.
 
 The materialized families (dosp_family) and their postings are cached
-within 32 MiB of charged bytes, so memory stays bounded.  Members are slotted
+within 32 MiB of charged bytes, and the set partitions of each ground within
+1 MiB, so memory stays bounded.  Members are slotted
 records sharing equal blocks and gap tuples, which the spot-mask constructor
 in dosp interns.  Each family is indexed once per r by bitmask postings: bit
 i of a posting stands for the i-th member in stream order, and there is one
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 from itertools import chain, compress
 from operator import add
+from sys import getsizeof
 from typing import Iterable, Iterator, NamedTuple
 
 from .coeffcore import restricted_coeff
@@ -77,25 +79,42 @@ SetPartition = tuple[frozenset[int], ...]
 # stored-size bounds of the family and postings caches, in bytes: 32 MiB together
 _FAMILY_CACHE_BYTES = 24 << 20
 _POSTINGS_CACHE_BYTES = 8 << 20
+# stored-size bound of the set-partition cache, in bytes
+_PARTITIONS_CACHE_BYTES = 1 << 20
 
 
 def unordered_partitions(elements: Iterable[int]) -> list[SetPartition]:
     """All set partitions of the given elements, each exactly once; the count
     is the Bell number of the size.  The empty set has exactly the empty
-    partition.  As in a ground set, elements must be ints, bools refused."""
+    partition.  As in a ground set, elements must be ints, bools refused.
+    Each call returns a new list of the partitions cached for the ground."""
     elems = list(elements)
     for e in elems:  # before the set below, which would merge True into 1
         if type(e) is not int:
             raise TypeError(f"ground element {e!r} is not an integer")
+    return list(_partitions_of(tuple(sorted(set(elems)))))
+
+
+def _partitions_bytes(partitions: tuple[SetPartition, ...]) -> int:
+    # an upper bound: sys.getsizeof of the tuple, of each partition, of each
+    # block (its hash table included) and of each element, which the blocks
+    # share, plus 16 bytes of alignment per object
+    objects = [partitions, *partitions, *chain(*partitions), *chain(*partitions[0])]
+    return sum(map(getsizeof, objects)) + 16 * len(objects)
+
+
+@_lru_by_size(_partitions_bytes, lambda: _PARTITIONS_CACHE_BYTES)
+def _partitions_of(ground: tuple[int, ...]) -> tuple[SetPartition, ...]:
+    """The set partitions of the sorted, distinct ints in ground."""
     partial: list[list[list[int]]] = [[]]
-    for e in sorted(set(elems)):
+    for e in ground:
         grown: list[list[list[int]]] = []
         for parts in partial:
             for i in range(len(parts)):
                 grown.append([p + [e] if j == i else p for j, p in enumerate(parts)])
             grown.append(parts + [[e]])
         partial = grown
-    return [_normalize_parts(parts) for parts in partial]
+    return tuple([_normalize_parts(parts) for parts in partial])
 
 
 def _normalize_parts(parts: Iterable[Iterable[int]]) -> SetPartition:
@@ -335,9 +354,11 @@ def second_winding_vector(partition: Dosp, r: int, ground: Iterable[int]) -> tup
     if faults:
         raise ValueError(min(faults)[1])
     v = _spots_passed(partition, skips)
-    zero = min((t for t in ground if not v[t - 1]), default=0)
-    if zero:
-        raise ValueError(f"entry v_{zero}=0 outside 1..{k - r * len(ground)} for a marked element")
+    for t in ground:
+        if not v[t - 1]:  # name the least marked element whose entry reads 0
+            t = min(t for t in ground if not v[t - 1])
+            blue = k - r * len(ground)
+            raise ValueError(f"entry v_{t}=0 outside 1..{blue} for a marked element")
     return v
 
 

@@ -122,14 +122,19 @@ def _lru_by_size(charge, budget):
     def decorate(fn):
         entries: OrderedDict = OrderedDict()  # key -> (result, charge), oldest first
         stats = [0, 0, 0]  # hits, misses, charged bytes held
+        lookup, move_to_end = entries.get, entries.move_to_end
 
         @wraps(fn)
         def cached(*args, **kwargs):
-            key = (*args, *kwargs.items(), *map(type, (*args, *kwargs.values())))
-            if key in entries:
-                entries.move_to_end(key)
+            if kwargs:
+                key = (*args, *kwargs.items(), *map(type, (*args, *kwargs.values())))
+            else:  # the same key, built without the empty kwargs
+                key = (*args, *map(type, args))
+            hit = lookup(key)  # an entry is a pair, never None
+            if hit is not None:
+                move_to_end(key)
                 stats[0] += 1
-                return entries[key][0]
+                return hit[0]
             stats[1] += 1
             result = fn(*args, **kwargs)
             entries[key] = (result, charge(result))

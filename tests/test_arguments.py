@@ -230,6 +230,7 @@ def test_eulerian_refuses_non_integers_with_the_template_message(function, name,
 
 @pytest.mark.parametrize("function", [eulerian, eulerian_by_enumeration])
 def test_eulerian_range_keeps_its_message(function):
+    function(1, 3)  # the brute force's counts for n = 3 are cached from here
     for k, n in [(0, 3), (4, 3), (-1, 5)]:
         with pytest.raises(ValueError, match=rf"^eulerian\(k={k}, n={n}\) requires 1 <= k <= n$"):
             function(k, n)
@@ -270,10 +271,14 @@ def test_bool_beside_its_equal_int_is_refused(name):
 
 @pytest.mark.parametrize("element", [True, False, 1.0, 1.5, "a", None], ids=repr)
 def test_unordered_partitions_refuses_a_non_int_element(element):
-    # checked before the set of elements, in which True would merge into 1
+    # checked before the set of elements, in which True would merge into 1,
+    # and before the cache, whose key (1,) equals (True,)
     assert unordered_partitions([2, 1]) == [(frozenset({1, 2}),), (frozenset({1}), frozenset({2}))]
+    assert unordered_partitions([1]) == [(frozenset({1}),)]
     with pytest.raises(TypeError, match=f"^ground element {element!r} is not an integer$"):
         unordered_partitions([1, element])
+    with pytest.raises(TypeError, match=f"^ground element {element!r} is not an integer$"):
+        unordered_partitions([element])
 
 
 @pytest.mark.parametrize("name", TAKES_ELEMENTS_UP_TO_N)

@@ -13,8 +13,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from console import SRC, START_UP_CHECK, console_command
 from hstar_lab import cli, sieve
-from hstar_lab.coeffcore import _power_row
-from hstar_lab.sieve import _family_with_bad_blocks, dosp_family
+from hstar_lab.coeffcore import _descent_counts, _power_row
+from hstar_lab.sieve import _family_with_bad_blocks, _partitions_of, dosp_family
 from hstar_lab.spec import HStarVector
 from test_golden import golden_records, render
 
@@ -244,8 +244,16 @@ class TestVerifyCommand:
 
     def test_default_bounds_fit_the_caches(self):
         # the case counts are the golden `verify --suite all` record's; the
-        # default bounds fit the size-bounded caches: nothing is evicted
-        cached = {dosp_family: 120, _family_with_bad_blocks: 240, _power_row: 81}
+        # default bounds fit the caches: nothing is evicted, so each family,
+        # postings entry, coefficient row, ground's partitions and n's
+        # descent counts is built once
+        cached = {
+            dosp_family: 120,
+            _family_with_bad_blocks: 240,
+            _power_row: 81,
+            _partitions_of: 32,
+            _descent_counts: 7,
+        }
         for fn in cached:
             fn.cache_clear()
         assert cli.main(["verify", "--suite", "all"]) == 0

@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, assume, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hstar_lab import dosp
 from hstar_lab.dosp import (
@@ -30,20 +30,11 @@ def ex1():
 
 
 @st.composite
-def winding_inputs(draw):
-    k = draw(st.integers(1, 5))
-    n = draw(st.integers(1, 6))
-    w = tuple(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
-    assume(sum(w) % k == 0)
-    return w, k
-
-
-@st.composite
-def large_winding_inputs(draw):
-    """A winding vector past the exhaustive grids, k <= 12 and n <= 30: a
-    drawn prefix and the last entry that makes the sum a multiple of k."""
-    k = draw(st.integers(1, 12))
-    n = draw(st.integers(1, 30))
+def winding_inputs(draw, max_k=5, max_n=6):
+    """A winding vector with k <= max_k and n <= max_n: a drawn prefix and
+    the last entry that makes the sum a multiple of k."""
+    k = draw(st.integers(1, max_k))
+    n = draw(st.integers(1, max_n))
     prefix = draw(st.lists(st.integers(0, k - 1), min_size=n - 1, max_size=n - 1))
     return (*prefix, -sum(prefix) % k), k
 
@@ -325,7 +316,7 @@ class TestFromWindingVector:
         assert winding_vector(p) == w
 
     @settings(max_examples=150, deadline=None)
-    @given(large_winding_inputs(), st.integers(0, 29))
+    @given(winding_inputs(max_k=12, max_n=30), st.integers(0, 29))
     def test_prop2_past_the_exhaustive_bounds(self, wk, s):
         # blocks of up to 30 elements, past the n <= 13 of the exhaustive
         # grids; the block cache's eviction is TestBlockInterning's
@@ -424,11 +415,11 @@ class TestCyclicShift:
                     for s in range(n):
                         assert winding_number(cyclic_shift_elements(p, s)) == d
 
-    @given(winding_inputs(), st.integers(0, 5))
-    def test_winding_number_invariance_property(self, wk, s):
+    @given(winding_inputs(), st.data())
+    def test_winding_number_invariance_property(self, wk, data):
         w, k = wk
         p = dosp_from_winding_vector(w, k)
-        assume(s < p.n)
+        s = data.draw(st.integers(0, p.n - 1))
         assert winding_number(cyclic_shift_elements(p, s)) == winding_number(p)
 
 

@@ -144,6 +144,29 @@ class TestUnorderedPartitions:
             assert key not in seen
             seen.add(key)
 
+    def test_each_call_returns_a_new_list(self):
+        first = unordered_partitions([2, 1])
+        expected = [(frozenset({1, 2}),), (frozenset({1}), frozenset({2}))]
+        assert first == expected
+        first.reverse()
+        first.append(())
+        again = unordered_partitions((1, 2, 2))  # the same sorted ground
+        assert again is not first and again == expected
+
+    def test_small_budget_evicts_down_to_it(self, monkeypatch):
+        # the partitions of a 6-set alone pass a 4 KiB budget, those of a
+        # 1-set and a 2-set fit it together
+        sieve._partitions_of.cache_clear()
+        monkeypatch.setattr(sieve, "_PARTITIONS_CACHE_BYTES", 4096)
+        for m in [*range(7), 1, 2, 6]:
+            assert len(unordered_partitions(range(1, m + 1))) == BELL[m]
+            info = sieve._partitions_of.cache_info()
+            assert info.nbytes <= info.maxbytes == 4096 or info.currsize == 1
+        # the second 1-set evicted the first 6-set, and the last 6-set
+        # evicted the 1-set and the 2-set: the newest stays however large
+        assert info.misses == 10 and info.currsize == 1 and info.nbytes > 4096
+        sieve._partitions_of.cache_clear()
+
 
 class TestBadPartFamilies:
     def test_table_rows(self):
@@ -266,11 +289,13 @@ class TestFamilyCaches:
         monkeypatch.setattr(sieve, "r_bad_blocks", counted)
         assert main(["verify", "--suite", "eq6"]) == 0
         assert capsys.readouterr().out == "PASS eq6: 3108 cases\n"
+        # that nothing is evicted at the default bounds is
+        # test_cli.py::TestVerifyCommand::test_default_bounds_fit_the_caches
         budgets = (sieve._FAMILY_CACHE_BYTES, sieve._POSTINGS_CACHE_BYTES)
         for cached, keys, budget in zip((dosp_family, _family_with_bad_blocks), (120, 240), budgets):
             info = cached.cache_info()
             assert info.nbytes <= info.maxbytes == budget
-            assert info.misses == info.currsize == keys
+            assert info.misses == keys
         # each index reads each member of its family once, and the sieve
         # terms read no member
         cases, _, bounds = _SUITES["eq6"]
