@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from functools import cache, partial
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 from .coeffcore import eulerian, eulerian_by_enumeration
 from .dosp import (
@@ -26,6 +26,9 @@ from .enumeration import enumerate_winding_vectors, hstar_combinatorial
 from .hstar import check_lemma1, check_prop1, count_dosps, hstar_closed_form
 from .oracle import hstar_from_oracle
 from .sieve import (
+    _read_off,
+    _rebuild,
+    _rebuild_case,
     check_prop3,
     check_prop4,
     dosp_from_second_winding_vector,
@@ -195,10 +198,20 @@ def _check_prop4(k, n, r, d, ground) -> bool:
 
 def _check_prop5(k, n, r, d, ground) -> bool:
     ground = frozenset(ground)  # one set shared by every check below
+    members = iter(run_free_family(k, n, d, r, ground))
     read = []
-    for p in run_free_family(k, n, d, r, ground):
+    # the first member goes through the public pair, which checks the case
+    # as a caller's call would; the others go through the pair's kernels,
+    # which skip the argument checks the case has passed
+    for p in islice(members, 1):
         v = second_winding_vector(p, r, ground)
         if dosp_from_second_winding_vector(v, k, r, ground) != p:
+            return False
+        read.append(v)
+    blue, marked, pad = _rebuild_case(k, r, ground)
+    for p in members:
+        v = _read_off(p, r, ground)
+        if _rebuild(v, k, blue, marked, pad) != p:
             return False
         read.append(v)
     # the stream is lexicographic without repeats, so this is the bijection

@@ -19,7 +19,11 @@ red, and record blue spots passed between consecutive elements: dosp's
 winding-vector read-off, _spots_passed, with the red spots skipped.
 dosp_from_second_winding_vector checks every bound of a vector it is given;
 second_winding_vector checks only the one its read-off can break, a zero entry
-for a marked element; the stream is in bounds by construction.  check_prop3
+for a marked element; the stream is in bounds by construction.  Each of the
+two is its checks of the arguments plus a private kernel written once
+(_read_off, _rebuild): verify's prop5 suite checks each case once, through
+the public pair on the case's first member, and runs the kernels on the
+others.  check_prop3
 and check_prop4 verify the two collapsing steps of the sieve, and
 sieve_term_closed_form is the resulting closed form, checked by the eq6 sweep.
 
@@ -97,15 +101,19 @@ def unordered_partitions(elements: Iterable[int]) -> list[SetPartition]:
 
 def _partitions_bytes(partitions: tuple[SetPartition, ...]) -> int:
     # an upper bound: sys.getsizeof of the tuple, of each partition, of each
-    # block (its hash table included) and of each element, which the blocks
+    # distinct block (its hash table included), since _partitions_of stores
+    # equal blocks as one object, and of each element, which the blocks
     # share, plus 16 bytes of alignment per object
-    objects = [partitions, *partitions, *chain(*partitions), *chain(*partitions[0])]
+    objects = [partitions, *partitions, *set(chain(*partitions)), *chain(*partitions[0])]
     return sum(map(getsizeof, objects)) + 16 * len(objects)
 
 
 @_lru_by_size(_partitions_bytes, lambda: _PARTITIONS_CACHE_BYTES)
 def _partitions_of(ground: tuple[int, ...]) -> tuple[SetPartition, ...]:
-    """The set partitions of the sorted, distinct ints in ground."""
+    """The set partitions of the sorted, distinct ints in ground.  Equal
+    blocks of the entry are one object, shared through a dict of this call:
+    not _block_of_mask's cache, since a ground may hold ints too large for a
+    bitmask."""
     partial: list[list[list[int]]] = [[]]
     for e in ground:
         grown: list[list[list[int]]] = []
@@ -114,7 +122,9 @@ def _partitions_of(ground: tuple[int, ...]) -> tuple[SetPartition, ...]:
                 grown.append([p + [e] if j == i else p for j, p in enumerate(parts)])
             grown.append(parts + [[e]])
         partial = grown
-    return tuple([_normalize_parts(parts) for parts in partial])
+    shared: dict[frozenset[int], frozenset[int]] = {}
+    blocks = [[shared.setdefault(b, b) for b in map(frozenset, parts)] for parts in partial]
+    return tuple(map(_normalize_parts, blocks))
 
 
 def _normalize_parts(parts: Iterable[Iterable[int]]) -> SetPartition:
@@ -122,10 +132,10 @@ def _normalize_parts(parts: Iterable[Iterable[int]]) -> SetPartition:
 
 
 def _require_ground(ground: Iterable[int], n: int, r: int, top: bool = False) -> frozenset[int]:
-    """Check r (inline first: prop5 calls this twice per member), then that
-    each element as given is an int in 1..n-1 (1..n if top); only then return
-    them as a frozenset, which merges True into 1 (a frozenset given cannot
-    hold both)."""
+    """Check r (inline first: prop4's spreads call this once per member),
+    then that each element as given is an int in 1..n-1 (1..n if top); only
+    then return them as a frozenset, which merges True into 1 (a frozenset
+    given cannot hold both)."""
     if type(r) is not int or r < 1:
         _require_ints(r=r)
     elems = ground if type(ground) is frozenset else tuple(ground)
@@ -323,6 +333,9 @@ def second_winding_vector(partition: Dosp, r: int, ground: Iterable[int]) -> tup
     """The second winding vector, read off by dosp's _spots_passed with the
     red spots skipped: v_i counts the blue spots passed on the clockwise walk
     from the spot of i to the spot of i+1, the end counted and not the start.
+    It is _require_ground's checks of r and the ground plus the kernel
+    _read_off, which verify's prop5 suite runs on every member of a case
+    after the first.
 
     Raises ValueError when a marked element is not a singleton block or lacks
     the r-1 empty trailing spots, or when a marked element shares its blue
@@ -332,7 +345,12 @@ def second_winding_vector(partition: Dosp, r: int, ground: Iterable[int]) -> tup
     entries are at most the blue count; the sum is the blue count times the
     winding number; and n, unmarked, leaves at least one blue spot.
     """
-    ground = _require_ground(ground, partition.n, r)
+    return _read_off(partition, r, _require_ground(ground, partition.n, r))
+
+
+def _read_off(partition: Dosp, r: int, ground: frozenset[int]) -> tuple[int, ...]:
+    """second_winding_vector's kernel, for an int r >= 1 and a ground that
+    _require_ground returned for the partition's n."""
     k = partition.k
     # each marked singleton colors its spot and the r-1 spots after it red,
     # and the read-off skips those r spots; they are empty exactly when its
@@ -366,7 +384,9 @@ def dosp_from_second_winding_vector(
     v: Iterable[int], k: int, r: int, ground: Iterable[int]
 ) -> Dosp:
     """The unique run-free partition of circle size k whose second winding
-    vector for r and the marked ground set is v.
+    vector for r and the marked ground set is v.  It is the checks below plus
+    the kernel _rebuild, which verify's prop5 suite runs on every member of a
+    case after the first, with _rebuild_case's arguments made once per case.
 
     _walk places the elements on a circle of blue spots; each marked element
     of a blue block is then spread clockwise behind the rest of its block,
@@ -383,8 +403,7 @@ def dosp_from_second_winding_vector(
     v = tuple(v)
     if not v:
         raise ValueError("vector must be nonempty")
-    if type(k) is not int or k < 1:  # inline: prop5 calls this once per member
-        _require_ints(k=k)
+    _require_ints(k=k)
     ground = _require_ground(ground, len(v), r)
     blue = k - r * len(ground)
     if blue < 1:
@@ -399,12 +418,25 @@ def dosp_from_second_winding_vector(
             raise ValueError(f"entry v_{i}={vi} outside 0..{blue - 1}")
     if sum(v) % blue:
         raise ValueError("entries must sum to a multiple of the blue spot count")
+    return _rebuild(v, k, *_rebuild_case(k, r, ground))
+
+
+def _rebuild_case(k: int, r: int, ground: frozenset[int]) -> tuple[int, int, list[int]]:
+    """_rebuild's arguments after v and k, which depend only on the case: the
+    blue count, the marked bits (bit t-1 for each marked t) and the r-1 pad,
+    empty with nothing marked.  dosp_from_second_winding_vector makes them
+    after its checks, so that a pad is never longer than the circle."""
+    pad = [0] * (r - 1) if ground else []
+    return k - r * len(ground), sum(map((1).__lshift__, ground)) >> 1, pad
+
+
+def _rebuild(v: tuple[int, ...], k: int, blue: int, marked: int, pad: list[int]) -> Dosp:
+    """dosp_from_second_winding_vector's kernel, for a vector in the
+    second-winding bounds and the case arguments of _rebuild_case."""
     on_blue = _walk(v, blue)
     # each blue spot expands to one spot, holding its unmarked elements if
     # any, followed by r spots per marked element, largest first
-    marked = sum(map((1).__lshift__, ground)) >> 1  # bit t-1 for each marked t
     unmarked = ~marked
-    pad = [0] * (r - 1)
     masks = []
     for mask in on_blue:
         masks.append(mask & unmarked)

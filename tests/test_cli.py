@@ -48,17 +48,24 @@ def _fault(module, name, make):
     return lambda monkeypatch: monkeypatch.setattr(module, name, make(getattr(module, name)))
 
 
-def _repeating_second_read_off(monkeypatch):
-    # the rebuild returns the member just read, so that only the last
-    # equality of the prop5 check can catch the repeated vector
-    read = []
+def _repeating_second_read_off(read_off, rebuild):
+    """A patch under which cli's read-off named read_off repeats at its 50th
+    call and cli's rebuild named rebuild returns the member just read, so
+    that only the last equality of the prop5 check can catch the repeated
+    vector."""
 
-    def read_off(p, r, ground):
-        read.append(p)
-        return sieve.second_winding_vector(p, r, ground)
+    def patch(monkeypatch):
+        read = []
+        real = getattr(cli, read_off)
 
-    monkeypatch.setattr(cli, "second_winding_vector", _repeat_at(read_off, 50))
-    monkeypatch.setattr(cli, "dosp_from_second_winding_vector", lambda *_: read[-1])
+        def recorded(p, *args):
+            read.append(p)
+            return real(p, *args)
+
+        monkeypatch.setattr(cli, read_off, _repeat_at(recorded, 50))
+        monkeypatch.setattr(cli, rebuild, lambda *_: read[-1])
+
+    return patch
 
 
 # a fault each rewritten verify check must catch: name -> (suite, patch)
@@ -73,7 +80,14 @@ FAULTS = {
         "prop2",
         _fault(cli, "dosp_from_winding_vector", lambda f: _repeat_at(f, 11)),
     ),
-    "prop5-read-off-repeats": ("prop5", _repeating_second_read_off),
+    # the public pair runs once per case, on its first member, the kernels
+    # on every other member
+    "prop5-read-off-repeats": (
+        "prop5",
+        _repeating_second_read_off("second_winding_vector", "dosp_from_second_winding_vector"),
+    ),
+    "prop5-read-off-kernel-repeats": ("prop5", _repeating_second_read_off("_read_off", "_rebuild")),
+    "prop5-rebuild-kernel-repeats": ("prop5", _fault(cli, "_rebuild", lambda f: _repeat_at(f, 50))),
     "prop5-stream-short": (
         "prop5",
         _fault(cli, "enumerate_second_winding_vectors", lambda f: lambda *a: list(f(*a))[:-1]),

@@ -285,6 +285,56 @@ class TestBadBlocks:
                     assert is_r_hypersimplicial(p, r) == (not r_bad_blocks(p, r))
 
 
+def _spot_word_vector(spots, k):
+    """The winding vector of a spot word p_1 = 0, ..., p_n on a circle of k
+    spots: w_i = p_(i+1) - p_i mod k, with p_(n+1) = 0."""
+    return tuple((b - a) % k for a, b in zip(spots, (*spots[1:], 0)))
+
+
+def _content_rule(spots, k, r):
+    """r-hypersimplicial read off the content alone: each occupied spot is a
+    block whose size is the spot's multiplicity and whose gap is the distance
+    to the next occupied spot, r-bad when the gap is at least r times the
+    size."""
+    size = {q: spots.count(q) for q in spots}
+    occupied = sorted(size)
+    gaps = map(int.__sub__, (*occupied[1:], occupied[0] + k), occupied)
+    return all(gap < r * size[q] for q, gap in zip(occupied, gaps))
+
+
+def _cyclic_descents(spots):
+    """The number of i with p_i > p_(i+1), where p_(n+1) = 0."""
+    return sum(a > b for a, b in zip(spots, (*spots[1:], 0)))
+
+
+class TestSpotContent:
+    """The facts a by-content enum would rest on, checked against the
+    partitions that dosp builds word by word."""
+
+    @staticmethod
+    def _check(spots, k):
+        p = dosp_from_winding_vector(_spot_word_vector(spots, k), k)
+        assert _cyclic_descents(spots) == winding_number(p)
+        for r in (1, 2, 3):
+            assert _content_rule(spots, k, r) == is_r_hypersimplicial(p, r), (spots, k, r)
+
+    def test_every_word_up_to_six(self):
+        words = 0
+        for k in range(1, 7):
+            for n in range(1, 7):
+                for rest in product(range(k), repeat=n - 1):
+                    self._check((0, *rest), k)
+                    words += 1
+        assert words == 15035
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_words_up_to_thirty(self, data):
+        k = data.draw(st.integers(1, 12))
+        rest = data.draw(st.lists(st.integers(0, k - 1), max_size=29))
+        self._check((0, *rest), k)
+
+
 class TestFromWindingVector:
     def test_figure_construction(self):
         p = dosp_from_winding_vector((0, 2, 3, 3, 3, 1, 0), 6)

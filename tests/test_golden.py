@@ -58,6 +58,8 @@ CASES = [
     "verify --suite prop4 --max-n 6 --max-k 5",
     "verify --suite prop2 --max-n 7 --max-k 5",
     "verify --suite prop3 --max-n 6 --max-k 4 --max-r 1",
+    # prop5 past its defaults: r = 3 (a pad of two empty spots) and n = 7
+    "verify --suite prop5 --max-n 7 --max-k 4 --max-r 3",
     "verify --suite prop3 --max-n 1",
     "hstar --r 0 --k 1 --n 3",
 ]

@@ -153,6 +153,28 @@ class TestUnorderedPartitions:
         again = unordered_partitions((1, 2, 2))  # the same sorted ground
         assert again is not first and again == expected
 
+    def test_equal_blocks_of_one_entry_are_one_object(self):
+        # a six-element ground: 674 block occurrences, 63 block objects; the
+        # entry traced about 166 KB with one object per occurrence and 29 to
+        # 35 KB shared (Python 3.11), and its charge, 36,904 bytes, bounds it
+        sieve._partitions_of.cache_clear()
+        tracemalloc.start()
+        try:
+            entry = sieve._partitions_of(tuple(range(1, 7)))
+            traced, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        blocks = [b for parts in entry for b in parts]
+        assert len(blocks) == 674 and len({id(b) for b in blocks}) == len(set(blocks)) == 63
+        assert traced < 40_000 and traced <= sieve._partitions_of.cache_info().nbytes
+        # elements far past any bitmask width are blocks all the same
+        huge = 10**30
+        assert unordered_partitions([huge, 1]) == [
+            (frozenset({1, huge}),),
+            (frozenset({1}), frozenset({huge})),
+        ]
+        sieve._partitions_of.cache_clear()
+
     def test_small_budget_evicts_down_to_it(self, monkeypatch):
         # the partitions of a 6-set alone pass a 4 KiB budget, those of a
         # 1-set and a 2-set fit it together
@@ -808,6 +830,17 @@ class TestSecondWindingReconstruction:
         # sum not a multiple of the blue count
         with pytest.raises(ValueError):
             dosp_from_second_winding_vector((1, 1, 0), 4, 1, {1})
+
+    def test_empty_ground_builds_no_pad(self):
+        # with nothing marked r lays no spot, and an r - 1 pad of 10**7 spots
+        # took 80 MB to rebuild ({1}_1)
+        tracemalloc.start()
+        try:
+            rebuilt = dosp_from_second_winding_vector((0,), 1, 10**7, ())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rebuilt == parse_dosp("({1}_1)", 1, 1) and peak < 2**20
 
     def test_stream_rejects_non_integer_k(self):
         with pytest.raises(TypeError, match="^k must be an integer$"):
