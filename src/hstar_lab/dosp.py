@@ -83,22 +83,7 @@ class Dosp(_Frozen):
         # and a tuple of gaps, so equal partitions hash equal
         blocks = tuple(map(frozenset, blocks))
         i = next(i for i, block in enumerate(blocks) if 1 in block)
-        object.__setattr__(self, "blocks", blocks[i:] + blocks[:i])
-        object.__setattr__(self, "gaps", gaps[i:] + gaps[:i])
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-
-    # the field tuples written out: prop5 compares and prop2 and prop4 hash
-    # partitions by the thousand
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.blocks, self.gaps, self.k, self.n) == (
-            other.blocks, other.gaps, other.k, other.n
-        )
-
-    def __hash__(self):
-        return hash((self.blocks, self.gaps, self.k, self.n))
+        self._store(blocks[i:] + blocks[:i], gaps[i:] + gaps[:i], k, n)
 
     def __str__(self) -> str:
         return format_dosp(self)
@@ -137,25 +122,25 @@ def parse_dosp(text: str, k: int, n: int) -> Dosp:
 
 def winding_vector(partition: Dosp) -> tuple[int, ...]:
     """Clockwise spot distance from the block of i to the block of i+1 for
-    each i, with w_i = 0 when the two share a block."""
-    return _spots_passed(partition, [0] * partition.k)
+    each i, with w_i = 0 when the two share a block; memory grows with n, not k."""
+    return _spots_passed(partition, [0] * len(partition.blocks))
 
 
 def _spots_passed(partition: Dosp, skips: list[int]) -> tuple[int, ...]:
     """For each element i, the spots passed on the clockwise walk from the
     block of i to the block of i+1, counting the end spot and not the start.
     The first stored block sits on spot 0 and each next block its gap label
-    further clockwise.  The skips[q] spots from a block's spot q on, all
-    before the next block, are not counted; with none skipped, this is the
-    winding vector."""
+    further clockwise.  skips holds one count per stored block: the first
+    skips[j] spots of block j's gap, its own spot first, are not counted;
+    with none skipped, this is the winding vector."""
     # at index e-1: (spot of the block of e, spots counted up to and including it)
     place = [(0, 0)] * partition.n
     q = counted = 0
-    for block, gap in zip(partition.blocks, partition.gaps):
-        here = (q, counted + (not skips[q]))
+    for block, gap, skip in zip(partition.blocks, partition.gaps, skips):
+        here = (q, counted + (not skip))
         for e in block:
             place[e - 1] = here
-        counted += gap - skips[q]
+        counted += gap - skip
         q += gap
     # a walk that wraps past spot 0 passes every counted spot once more
     walks = zip(place, place[1:] + place[:1])
@@ -247,7 +232,8 @@ def _dosp_from_spot_masks(masks: list[int], k: int, n: int) -> Dosp:
     of the list masks, indexed by spot as _walk returns it, holding the
     elements set in that mask.  Element 1 must sit on spot 0, so the blocks
     come in the canonical rotation; the partition is valid by construction
-    and its fields are stored by the slot setters, without Dosp's checks.
+    and its fields are stored by Dosp's four slot setters, without Dosp's
+    checks or _store's loop, which doubled the time enum takes per word.
     Blocks come from _block_of_mask and gaps from _gaps_between, so equal
     ones are shared between the partitions built here.  No loop runs per spot."""
     if not masks[0] & 1:
@@ -260,8 +246,7 @@ def _dosp_from_spot_masks(masks: list[int], k: int, n: int) -> Dosp:
     return partition
 
 
-# Dosp's slot setters, bound once: cheaper than object.__setattr__ by name
-_set_blocks, _set_gaps, _set_k, _set_n = (Dosp.__dict__[name].__set__ for name in Dosp.__slots__)
+_set_blocks, _set_gaps, _set_k, _set_n = Dosp._setters  # bound once, at import
 
 
 def cyclic_shift_elements(partition: Dosp, s: int) -> Dosp:

@@ -350,32 +350,29 @@ def second_winding_vector(partition: Dosp, r: int, ground: Iterable[int]) -> tup
 
 def _read_off(partition: Dosp, r: int, ground: frozenset[int]) -> tuple[int, ...]:
     """second_winding_vector's kernel, for an int r >= 1 and a ground that
-    _require_ground returned for the partition's n."""
-    k = partition.k
+    _require_ground returned for the partition's n; memory grows with n, not k."""
     # each marked singleton colors its spot and the r-1 spots after it red,
-    # and the read-off skips those r spots; they are empty exactly when its
-    # gap label is at least r.  A fault names the least marked element at fault.
-    skips = [0] * k
+    # and the read-off skips those r spots, one skip count per block; they
+    # are empty exactly when its gap label is at least r.  A fault names the
+    # least marked element at fault.
+    skips = []
     faults = []
-    q = 0  # spot of the block
     for block, gap in zip(partition.blocks, partition.gaps):
-        if not ground.isdisjoint(block):
-            if len(block) > 1:
-                t = min(ground & block)
-                faults.append((t, f"marked element {t} is not a singleton block"))
-            elif gap < r:
-                (t,) = block
-                faults.append((t, f"singleton block {{{t}}} needs {r - 1} empty spots after it"))
-            else:
-                skips[q] = r
-        q += gap
+        marked = not ground.isdisjoint(block)
+        if marked and len(block) > 1:
+            t = min(ground & block)
+            faults.append((t, f"marked element {t} is not a singleton block"))
+        elif marked and gap < r:
+            (t,) = block
+            faults.append((t, f"singleton block {{{t}}} needs {r - 1} empty spots after it"))
+        skips.append(r if marked else 0)
     if faults:
         raise ValueError(min(faults)[1])
     v = _spots_passed(partition, skips)
     for t in ground:
         if not v[t - 1]:  # name the least marked element whose entry reads 0
             t = min(t for t in ground if not v[t - 1])
-            blue = k - r * len(ground)
+            blue = partition.k - r * len(ground)
             raise ValueError(f"entry v_{t}=0 outside 1..{blue} for a marked element")
     return v
 

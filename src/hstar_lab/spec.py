@@ -6,6 +6,7 @@ the package, so the three methods meet only here and share no arithmetic.
 
 from __future__ import annotations
 
+import operator
 from collections import OrderedDict, namedtuple
 from functools import wraps
 from typing import Iterable
@@ -15,24 +16,30 @@ __all__ = ["PolytopeSpec", "HStarVector"]
 
 class _Frozen:
     """Base of the frozen record classes PolytopeSpec, HStarVector and
-    dosp.Dosp.  A subclass names its fields in __slots__ and stores them with
-    object.__setattr__ in its __init__; assigning or deleting a field then
-    raises AttributeError.  Two records are equal when they are of the same
-    class with equal fields, and hash as the tuple of their fields.  Pickle
-    and copy rebuild a record through its __init__."""
+    dosp.Dosp.  A subclass names two or more fields in __slots__; its class
+    gets their C getter _values, giving a record's field tuple, and their
+    slot setters _setters, which _store calls in its __init__.  Assigning or
+    deleting a field then raises AttributeError.  Records are equal when of
+    one class with equal fields, and hash as the field tuple.  Pickle and
+    copy rebuild a record through its __init__."""
 
     __slots__ = ()
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+    def __init_subclass__(cls):
+        cls._values = operator.attrgetter(*cls.__slots__)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _store(self, *values) -> None:
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._values(self) == self._values(other)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -45,7 +52,7 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._values(self)
 
 
 class PolytopeSpec(_Frozen):
@@ -62,9 +69,7 @@ class PolytopeSpec(_Frozen):
             raise ValueError("ambient dimension n must be at least 2")
         if not 0 < k < r * n:
             raise ValueError(f"slice level k={k} must satisfy 0 < k < r*n = {r * n}")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
+        self._store(r, k, n)
 
 
 class HStarVector(_Frozen):
@@ -80,12 +85,13 @@ class HStarVector(_Frozen):
         entries = tuple(entries)
         if len(entries) != spec.n:
             raise ValueError("one entry per degree 0..n-1 is required")
+        if any(type(e) is not int for e in entries):  # a bool is not
+            raise TypeError("h*-vector entries must be integers")
         if any(e < 0 for e in entries):
             raise ValueError("h*-vector entries must be nonnegative")
         if entries[0] != 1:
             raise ValueError("h*_0 must be 1")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "spec", spec)
+        self._store(entries, spec)
 
     def total(self) -> int:
         """Sum of the entries, the normalized volume."""

@@ -86,6 +86,12 @@ FAULTS = {
         "prop5",
         _repeating_second_read_off("second_winding_vector", "dosp_from_second_winding_vector"),
     ),
+    # the public rebuild's 50th call, on a case's first member, returns the
+    # previous case's partition
+    "prop5-rebuild-repeats": (
+        "prop5",
+        _fault(cli, "dosp_from_second_winding_vector", lambda f: _repeat_at(f, 50)),
+    ),
     "prop5-read-off-kernel-repeats": ("prop5", _repeating_second_read_off("_read_off", "_rebuild")),
     "prop5-rebuild-kernel-repeats": ("prop5", _fault(cli, "_rebuild", lambda f: _repeat_at(f, 50))),
     "prop5-stream-short": (

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -248,6 +249,17 @@ class TestWinding:
         assert winding_vector(p) == (0, 1, 0, 1)
         assert winding_number(p) == 1
 
+    def test_memory_grows_with_n_not_k(self):
+        # one zero skip per block: a skip per spot took 80 MB at k = 10**7
+        p = Dosp([[1], [2]], [1, 10**7 - 1], 10**7, 2)
+        tracemalloc.start()
+        try:
+            w = winding_vector(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert w == (1, 10**7 - 1) and peak < 2**20
+
     def test_winding_vector_invariant_violation(self, monkeypatch):
         # no partition has such a vector, so substitute one to reach the check
         monkeypatch.setattr(dosp, "winding_vector", lambda partition: (1, 0))
@@ -402,11 +414,12 @@ class TestFromWindingVectorReference:
 
 
     def test_rejects_non_integer_input(self):
-        # a non-integer k is a row of test_arguments.py
-        with pytest.raises(TypeError):
-            dosp_from_winding_vector((0.0, 1.0, 1.0), 2)
-        with pytest.raises(TypeError):
-            _reference_dosp_from_winding_vector((0.0, 1.0, 1.0), 2)
+        # a non-integer k is a row of test_arguments.py; [0] cannot be hashed,
+        # so the builder's superset test falls back to min and max
+        for w in [(0.0, 1.0, 1.0), [[0], 1]]:
+            for build in (dosp_from_winding_vector, _reference_dosp_from_winding_vector):
+                with pytest.raises(TypeError):
+                    build(w, 2)
 
 
 class TestBlockInterning:

@@ -271,6 +271,12 @@ class TestHStarVector:
         with pytest.raises(ValueError):
             HStarVector((1, 0), PolytopeSpec(1, 2, 4))
 
+    @pytest.mark.parametrize("entries", [(1, 0.5), (True, 0), (1.0, 0), (1, -0.5)])
+    def test_rejects_non_int_entries_before_the_range_checks(self, entries):
+        # a bool is not an integer here, and a float fails before the sign test
+        with pytest.raises(TypeError, match=r"^h\*-vector entries must be integers$"):
+            HStarVector(entries, PolytopeSpec(1, 1, 2))
+
     def test_rejects_negative_entry(self):
         with pytest.raises(ValueError):
             HStarVector((1, -1, 0, 0), PolytopeSpec(1, 2, 4))

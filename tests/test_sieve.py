@@ -525,6 +525,11 @@ class TestSlottedRecords:
         twin = sub(*(getattr(record, name) for name in cls.__slots__))
         assert record != twin and twin != record
 
+    @pytest.mark.parametrize("cls", list(_PLAIN))
+    def test_equality_hashing_and_pickling_come_from_the_base(self, cls):
+        # equality, hashing and pickling come from spec._Frozen's field getter
+        assert not {"__eq__", "__hash__", "__reduce__"} & set(cls.__dict__)
+
     def test_pickle_and_deepcopy_round_trip(self):
         for records in _records().values():
             for record in records:
@@ -806,6 +811,17 @@ class TestSecondWindingVector:
         for v, ground in [([1, 1, 1], {1}), ((1, 1, 1), [1]), (iter((1, 1, 1)), (1,))]:
             built = dosp_from_second_winding_vector(v, 4, 1, ground)
             assert built == canonical and hash(built) == hash(canonical)
+
+    def test_read_off_memory_grows_with_n_not_k(self):
+        # one skip per block: a skip per spot took 80 MB at k = 10**7
+        p = Dosp([[1], [2]], [1, 10**7 - 1], 10**7, 2)
+        tracemalloc.start()
+        try:
+            v = second_winding_vector(p, 1, [1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert v == (1, 10**7 - 2) and peak < 2**20
 
 
 class TestSecondWindingReconstruction:
